@@ -42,7 +42,6 @@ from .section import (
     nsr_transverse_field,
     recover_stress_profile,
     reduce_section,
-    transverse_resultants,
 )
 
 __version__ = "0.1.0"

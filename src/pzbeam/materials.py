@@ -27,9 +27,6 @@ import numpy as np
 #: Vacuum permittivity, F/m.
 EPS0 = 8.8541878128e-12
 
-#: Documented component order for all Voigt-notation arrays.
-VOIGT_ORDER = ("11", "22", "33", "23", "13", "12")
-
 
 class MaterialError(ValueError):
     """Invalid material constants or material database content."""
@@ -272,6 +269,7 @@ def load_material_db(path=None) -> dict:
     duplicate names within one file are rejected.
     """
     records = builtin_materials()
+    builtin_names = set(records)
     if path is None:
         return records
     text = Path(path).read_text()
@@ -288,7 +286,7 @@ def load_material_db(path=None) -> dict:
         if record.name in seen:
             raise MaterialError(f"malformed database {path}: duplicate material {record.name!r}")
         seen.add(record.name)
-        if record.name in builtin_materials():
+        if record.name in builtin_names:
             warnings.warn(f"material database {path} shadows built-in {record.name!r}",
                           stacklevel=2)
         records[record.name] = record

@@ -38,6 +38,19 @@ def test_fine_discretization_random_stack(closure):
         assert rel_distance(analytic.matrix, oracle.matrix) <= 1e-8
 
 
+@pytest.mark.parametrize("closure", CLOSURES)
+def test_thin_skin_far_from_midplane(pzt_plane, al_plane, closure):
+    # a 1e-12 mm skin 1 mm off the mid-plane: plain z-moments of the skin
+    # cancel to a few digits, the layer-centered ones keep full precision
+    section = Section(layers=(Layer(al_plane, 2e-3),
+                              Layer(pzt_plane, 1e-15, poling=+1, electroded=True)),
+                      width=0.01, wiring="independent")
+    analytic = reduce_section(section, closure).matrix
+    oracle = discretized_oracle(section, closure, 1).matrix
+    scale = np.sqrt(np.abs(np.outer(np.diag(oracle), np.diag(oracle))))
+    assert np.max(np.abs(analytic - oracle) / scale) <= 1e-13
+
+
 def test_oracle_multipliers_match_transverse_field(sandwich):
     field = nsr_transverse_field(sandwich)
     dual = oracle_transverse_multipliers(sandwich, 40)

@@ -148,6 +148,29 @@ def test_nsr_resultant_annihilation(section, eps, kappa, volt):
     assert abs(profile.m2) <= max(1e-10 * t22_max, floor) * h ** 2
 
 
+@settings(max_examples=40, deadline=None)
+@given(section=sections(), closure=st.sampled_from(CLOSURES), data=st.data())
+def test_stress_profile_integrates_to_reduced_resultants(section, closure, data):
+    # the N and M rows of the reduction and the recovered T11 come from the
+    # same per-layer coefficients; integrating T11 must give back K @ u
+    volts = st.lists(st.floats(-200.0, 200.0), min_size=section.n_terminals,
+                     max_size=section.n_terminals)
+    state = GeneralizedState(eps=data.draw(st.floats(-1e-3, 1e-3)),
+                             kappa=data.draw(st.floats(-1.0, 1.0)),
+                             voltages=tuple(data.draw(volts)))
+    u = np.concatenate(([state.eps, state.kappa], state.voltages))
+    k = reduce_section(section, closure).matrix
+    c0, c1 = recover_stress_profile(section, closure, state).t11_coefficients.T
+    # exact integrals of c0 + c1*z over each layer, written about its center
+    h = np.array([layer.thickness for layer in section.layers])
+    zc = np.array(section.z_interfaces[:-1]) + h / 2.0
+    n_terms = section.width * np.array([c0 * h, c1 * h * zc])
+    m_terms = section.width * np.array([c0 * h * zc, c1 * (h * zc ** 2 + h ** 3 / 12.0)])
+    for row, terms in ((0, n_terms), (1, m_terms)):
+        scale = max(np.sum(np.abs(terms)), np.sum(np.abs(k[row] * u)))
+        assert abs(np.sum(terms) - k[row] @ u) <= 1e-12 * scale
+
+
 @settings(max_examples=20, deadline=None)
 @given(section=sections(max_layers=4), closure=st.sampled_from(CLOSURES),
        n=st.integers(1, 8))

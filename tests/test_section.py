@@ -18,7 +18,6 @@ from pzbeam import (
     nsr_transverse_field,
     recover_stress_profile,
     reduce_section,
-    transverse_resultants,
 )
 
 AL = condense_to_plane(isotropic_elastic("al", 69e9, 0.33, 2700.0))
@@ -251,7 +250,7 @@ class TestStressProfile:
             c0, c1 = profile.t11_coefficients[i]
             row = profile.samples[3 * i + 1]
             assert row[1] == pytest.approx(zm, rel=1e-15)
-            assert row[2] == c0 + c1 * zm
+            assert row[2] == c0 + c1 * row[1]
 
     def test_voltage_count_checked(self, sandwich):
         with pytest.raises(LayupError, match="voltages"):
@@ -261,14 +260,14 @@ class TestStressProfile:
 class TestTransverseResultants:
     def test_zero_stress(self, sandwich):
         profile = recover_stress_profile(sandwich, "ns", GeneralizedState(voltages=(10.0,)))
-        assert transverse_resultants(profile) == (0.0, 0.0)
+        assert (profile.n2, profile.m2) == (0.0, 0.0)
 
     def test_pure_gradient_closed_form(self):
         # T22 = c*z over a single centered layer: N2 = 0, M2 = c h^3 / 12
         s = Section(layers=(Layer(AL, 2e-3),), width=0.01)
         profile = recover_stress_profile(s, "nd", GeneralizedState(kappa=0.1))
         c = AL.Q12 * 0.1
-        n2, m2 = transverse_resultants(profile)
+        n2, m2 = profile.n2, profile.m2
         assert n2 == pytest.approx(0.0, abs=1e-12 * abs(c) * (2e-3) ** 2)
         assert m2 == pytest.approx(c * (2e-3) ** 3 / 12, rel=1e-12)
 
