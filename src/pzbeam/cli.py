@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beam import cantilever_tip_deflection, coupling_factor, free_actuation_state, \
-    make_beam, modal_frequencies
+from .beam import BeamError, cantilever_tip_deflection, coupling_factor, \
+    free_actuation_state, make_beam, modal_frequencies
 from .materials import MaterialError, load_material_db
 from .section import Closure, GeneralizedState, LayupError, capacitance_per_length, \
     compare_closures, load_layup, recover_stress_profile, reduce_section
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return run(config)
-    except (LayupError, MaterialError, FileNotFoundError) as exc:
+    except (LayupError, MaterialError, BeamError, FileNotFoundError) as exc:
         print(f"pzbeam: input error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,11 @@ class Material3D:
     def is_elastic(self) -> bool:
         return not np.any(self.e)
 
+    @cached_property
+    def plane(self) -> PlaneMaterial:
+        """The thickness-condensed record, computed on first use."""
+        return condense_to_plane(self)
+
 
 @dataclass(frozen=True)
 class MaterialDForm:
@@ -99,6 +105,11 @@ class MaterialDForm:
         _check_positive_definite(self.epsT, f"{self.name}: epsT")
         if not self.density > 0.0:
             raise MaterialError(f"{self.name}: density must be positive")
+
+    @cached_property
+    def plane(self) -> PlaneMaterial:
+        """The e-form record condensed to the plane, computed on first use."""
+        return condense_to_plane(convert_d_to_e(self))
 
 
 @dataclass(frozen=True)
@@ -186,13 +197,16 @@ def condense_to_plane(m: Material3D) -> PlaneMaterial:
 
 
 def as_plane(record) -> PlaneMaterial:
-    """Condense any supported record type to a PlaneMaterial."""
+    """Condense any supported record type to a PlaneMaterial.
+
+    A Material3D or MaterialDForm record is frozen, so it is condensed (and a
+    d-form record converted) once, on first use, and every later call returns
+    the same PlaneMaterial.
+    """
     if isinstance(record, PlaneMaterial):
         return record
-    if isinstance(record, MaterialDForm):
-        record = convert_d_to_e(record)
-    if isinstance(record, Material3D):
-        return condense_to_plane(record)
+    if isinstance(record, (Material3D, MaterialDForm)):
+        return record.plane
     raise MaterialError(f"unsupported material record type {type(record).__name__}")
 
 

@@ -41,6 +41,11 @@ thickness h centered at zc are written as h, h*zc and h*zc^2 + h^3/12.
 Plain differences such as (z1^2 - z0^2)/2 cancel for a thin layer far from
 the mid-plane: for a 1e-12 mm skin on a 2 mm core they keep only about
 four digits. The centered forms keep full relative precision.
+
+A Section is immutable, so it builds its table once, on first use, and
+every reduction, transverse field and stress recovery of that section reads
+the same table. The table's arrays are read-only; stress recovery swaps its
+one state in with _replace and never writes to the shared arrays.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -93,8 +99,9 @@ class Layer:
     electroded: bool = False
 
     def __post_init__(self):
-        if not self.thickness > 0.0:
-            raise LayupError(f"layer thickness must be positive, got {self.thickness}")
+        if not 0.0 < self.thickness < np.inf:
+            raise LayupError(f"layer thickness must be positive and finite, "
+                             f"got {self.thickness}")
         if self.poling not in (-1, 0, 1):
             raise LayupError(f"poling must be -1, 0 or +1, got {self.poling}")
         if self.poling == 0 and self.material.has_coupling:
@@ -122,8 +129,8 @@ class Section:
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.layers) == 0:
             raise LayupError("section needs at least one layer")
-        if not self.width > 0.0:
-            raise LayupError(f"width must be positive, got {self.width}")
+        if not 0.0 < self.width < np.inf:
+            raise LayupError(f"width must be positive and finite, got {self.width}")
         if self.wiring not in ("parallel", "independent"):
             raise LayupError(f"unknown wiring {self.wiring!r}")
 
@@ -131,14 +138,14 @@ class Section:
     def thickness(self) -> float:
         return sum(l.thickness for l in self.layers)
 
-    @property
+    @cached_property
     def z_interfaces(self) -> tuple:
         z = [-self.thickness / 2.0]
         for l in self.layers:
             z.append(z[-1] + l.thickness)
         return tuple(z)
 
-    @property
+    @cached_property
     def terminals(self) -> tuple:
         """Layer indices per terminal."""
         electroded = tuple(i for i, l in enumerate(self.layers) if l.electroded)
@@ -161,6 +168,10 @@ class Section:
             if layer_index in members:
                 return t
         return None
+
+    @cached_property
+    def _table(self) -> _LayerTable:
+        return _layer_table(self)
 
 
 @dataclass(frozen=True)
@@ -196,6 +207,8 @@ class SectionConstitutive:
                              f"expected {(2 + self.n_terminals,) * 2}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        if not np.all(np.isfinite(m)):
+            raise LayupError("constitutive matrix has non-finite entries")
         if np.min(np.linalg.eigvalsh(0.5 * (self.kmm + self.kmm.T))) <= 0.0:
             raise LayupError("mechanical stiffness block is not positive definite")
         if self.n_terminals and np.min(np.linalg.eigvalsh(0.5 * (self.cq + self.cq.T))) <= 0.0:
@@ -317,8 +330,11 @@ def _layer_table(section: Section) -> _LayerTable:
     e3[members, 2 + collect] = -poling[members, 0] / h[members, 0]
     zc = z0 + 0.5 * h
     m1 = h * zc
-    return _LayerTable(q11, q12, q22, e31, e32, eps33, poling, zc, h, m1,
-                       m1 * zc + h ** 3 / 12.0, unit[:1], unit[1:], e3, members, collect)
+    table = _LayerTable(q11, q12, q22, e31, e32, eps33, poling, zc, h, m1,
+                        m1 * zc + h ** 3 / 12.0, unit[:1], unit[1:], e3, members, collect)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _integrals(t: _LayerTable, c0, c1) -> tuple:
@@ -346,7 +362,7 @@ def _t11(t: _LayerTable, s0, s1) -> tuple:
 
 def nsr_transverse_field(section: Section) -> TransverseField:
     """Solve the 2x2 resultant-annihilation system for all unit states at once."""
-    a, b = _s22(_layer_table(section), Closure.NSR)
+    a, b = _s22(section._table, Closure.NSR)
     return TransverseField(coefficients=np.column_stack((a, b)))
 
 
@@ -360,7 +376,7 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     matrix is symmetric only by reciprocity, not by construction.
     """
     closure = Closure.coerce(closure)
-    t = _layer_table(section)
+    t = section._table
     s0, s1 = _s22(t, closure)
     n, m = _integrals(t, *_t11(t, s0, s1))
     d3 = t.e31 * (t.eps + t.kappa * t.zc) + t.e32 * (s0 + s1 * t.zc) + t.eps33 * t.e3
@@ -400,7 +416,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     if len(state.voltages) != section.n_terminals:
         raise LayupError(f"state has {len(state.voltages)} voltages, "
                          f"section has {section.n_terminals} terminals")
-    t = _layer_table(section)
+    t = section._table
     # the one state in place of the unit states: every field has one column
     u = np.array((state.eps, state.kappa) + state.voltages)
     t = t._replace(eps=u[:1, None], kappa=u[1:2, None],
@@ -483,12 +499,12 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
 
     Expected keys: width_mm, wiring ('parallel' | 'independent') and layers,
     a bottom-to-top list of {material, thickness_mm, poling, electroded}.
-    Material names resolve against the built-in records plus the optional
-    materials mapping.
+    Material names resolve against the optional materials mapping first and
+    then against the built-in records, which are built only if a name is
+    missing from the mapping.
     """
-    records = builtin_materials()
-    if materials:
-        records.update(materials)
+    materials = materials or {}
+    builtins = None
     try:
         width = float(layup["width_mm"]) * 1e-3
         wiring = layup.get("wiring", "parallel")
@@ -498,22 +514,28 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     if not entries:
         raise LayupError("layup has no layers")
     layers = []
-    planes = {}     # each record is condensed once, however many layers use it
     for entry in entries:
         try:
             name = entry["material"]
             thickness = float(entry["thickness_mm"]) * 1e-3
             poling_key = entry.get("poling", "none")
-            electroded = bool(entry.get("electroded", False))
+            electroded = entry.get("electroded", False)
         except (KeyError, TypeError) as exc:
             raise LayupError(f"malformed layer entry: {exc}") from exc
-        if name not in records:
-            raise LayupError(f"unknown material {name!r}")
+        if not isinstance(electroded, bool):
+            raise LayupError(f"layer field 'electroded' must be true or false, "
+                             f"got {electroded!r}")
+        if name in materials:
+            record = materials[name]
+        else:
+            if builtins is None:
+                builtins = builtin_materials()
+            if name not in builtins:
+                raise LayupError(f"unknown material {name!r}")
+            record = builtins[name]
         if poling_key not in _POLING:
             raise LayupError(f"unknown poling {poling_key!r} (expected +z, -z or none)")
-        if name not in planes:
-            planes[name] = as_plane(records[name])
-        layers.append(Layer(material=planes[name], thickness=thickness,
+        layers.append(Layer(material=as_plane(record), thickness=thickness,
                             poling=_POLING[poling_key], electroded=electroded))
     return Section(layers=tuple(layers), width=width, wiring=wiring)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pzbeam.cli
 from pzbeam import load_layup, reduce_section
 from pzbeam.cli import main, parse_args
 
@@ -71,10 +72,38 @@ class TestExitCodes:
         assert code == 2
         assert "unknown material" in err
 
-    def test_computation_error(self, capsys):
-        code, _, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--modes", "0")
+    def test_computation_error(self, capsys, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(pzbeam.cli, "reduce_section", singular)
+        code, _, err = run_cli(capsys, "reduce", "--layup", SANDWICH)
         assert code == 1
         assert "computation error" in err
+
+    def test_zero_modes_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--modes=0")
+        assert code == 2
+        assert "input error" in err and "mode" in err
+
+    def test_negative_length_is_input_error(self, capsys):
+        code, _, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--length=-1")
+        assert code == 2
+        assert "input error" in err and "length" in err
+
+    @pytest.mark.parametrize("key, value", [("width_mm", "inf"), ("thickness_mm", "inf"),
+                                            ("electroded", "false")])
+    def test_bad_layup_value_is_input_error(self, capsys, tmp_path, key, value):
+        layup = json.loads(Path(SANDWICH).read_text())
+        if key == "width_mm":
+            layup[key] = value
+        else:
+            layup["layers"][0][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(layup))
+        code, out, err = run_cli(capsys, "capacitance", "--layup", str(bad))
+        assert code == 2 and not out
+        assert "input error" in err and key.split("_")[0] in err
 
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--layup", SANDWICH)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import pzbeam.materials
+import pzbeam.section
 from pzbeam import (
     Closure,
     GeneralizedState,
@@ -10,11 +12,14 @@ from pzbeam import (
     LayupError,
     PlaneMaterial,
     Section,
+    SectionConstitutive,
+    as_plane,
     build_section,
     capacitance_per_length,
     compare_closures,
     isotropic_elastic,
     condense_to_plane,
+    load_material_db,
     nsr_transverse_field,
     recover_stress_profile,
     reduce_section,
@@ -88,6 +93,38 @@ class TestBuildSection:
             Section(layers=(Layer(AL, 1e-3),), width=0.01, wiring="serial")
         with pytest.raises(LayupError):
             Layer(AL, 0.0)
+
+    def test_electroded_must_be_bool(self):
+        for value in ("false", "true", 0, 1, None):
+            with pytest.raises(LayupError, match="'electroded'"):
+                build_section({"width_mm": 10, "layers": [
+                    {"material": "PZT-5H", "thickness_mm": 0.3, "poling": "+z",
+                     "electroded": value}]})
+
+
+class TestFiniteInputs:
+    LAYER = {"material": "Al-6061", "thickness_mm": 1.0}
+
+    def test_infinite_width(self):
+        with pytest.raises(LayupError, match="finite"):
+            build_section({"width_mm": "inf", "layers": [self.LAYER]})
+        with pytest.raises(LayupError, match="finite"):
+            Section(layers=(Layer(AL, 1e-3),), width=np.inf)
+
+    def test_non_finite_thickness(self):
+        with pytest.raises(LayupError, match="finite"):
+            build_section({"width_mm": 10, "layers": [dict(self.LAYER, thickness_mm="inf")]})
+        for thickness in (np.inf, np.nan):
+            with pytest.raises(LayupError):
+                Layer(AL, thickness)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix(self, bad):
+        # NaN fails no eigenvalue comparison, so finiteness is checked first
+        matrix = np.eye(3)
+        matrix[2, 2] = bad
+        with pytest.raises(LayupError, match="non-finite"):
+            SectionConstitutive(matrix=matrix, n_terminals=1, closure=Closure.NSR, width=0.01)
 
 
 class TestReduceSection:
@@ -345,3 +382,86 @@ class TestIndependentWiring:
         # gm cancels between the two layers; summing the independent columns
         # leaves round-off at the scale of the per-layer couplings (~0.5 N/V)
         np.testing.assert_allclose(par.kme[:, 0], ind.kme @ ones, rtol=1e-12, atol=1e-13)
+
+
+MIXED_LAYUP = {"width_mm": 12.0, "wiring": "independent", "layers": [
+    {"material": "PZT-5H", "thickness_mm": 0.2, "poling": "-z", "electroded": True},
+    {"material": "Al-6061", "thickness_mm": 0.9},
+    {"material": "PZT-5H", "thickness_mm": 0.35, "poling": "+z", "electroded": True},
+    {"material": "PZT-5H", "thickness_mm": 0.1, "poling": "+z"},
+    {"material": "Al-6061", "thickness_mm": 0.4},
+    {"material": "PZT-5H", "thickness_mm": 0.25, "poling": "-z", "electroded": True},
+]}
+
+
+class TestSharedTable:
+    STATE = GeneralizedState(eps=2e-4, kappa=-0.3, voltages=(40.0, -15.0, 70.0))
+
+    @staticmethod
+    def _results(section, call):
+        if call == "field":
+            return (nsr_transverse_field(section).coefficients,)
+        kind, closure = call
+        if kind == "reduce":
+            return (reduce_section(section, closure).matrix,)
+        p = recover_stress_profile(section, closure, TestSharedTable.STATE)
+        return (p.t11_coefficients, p.t22_coefficients, p.samples, np.array((p.n2, p.m2)))
+
+    def test_interleaved_calls_match_fresh_sections(self):
+        shared = build_section(MIXED_LAYUP)
+        calls = [("reduce", "nsr"), ("stress", "nsr"), "field", ("reduce", "nd"),
+                 ("stress", "ns"), ("reduce", "ns"), ("stress", "nd"), "field",
+                 ("reduce", "nsr"), ("stress", "nsr")]
+        for call in calls:
+            got = self._results(shared, call)
+            want = self._results(build_section(MIXED_LAYUP), call)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), call
+        assert shared._table is shared._table
+
+    def test_table_is_read_only(self):
+        for column in build_section(MIXED_LAYUP)._table:
+            with pytest.raises(ValueError, match="read-only"):
+                column[(0,) * column.ndim] = 1
+
+
+class TestMaterialMemo:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"convert_d_to_e": 0, "builtin_materials": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(pzbeam.materials, "convert_d_to_e")
+        counted(pzbeam.section, "builtin_materials")
+        return counts
+
+    def test_second_build_converts_nothing(self, calls):
+        db = load_material_db()
+        first = build_section(MIXED_LAYUP, db)
+        assert calls == {"convert_d_to_e": 1, "builtin_materials": 0}
+        second = build_section(MIXED_LAYUP, db)
+        assert calls == {"convert_d_to_e": 1, "builtin_materials": 0}
+        assert first.layers[0].material is second.layers[0].material
+        assert as_plane(db["PZT-5H"]) is first.layers[0].material
+
+    def test_mapping_shadows_builtin(self, calls):
+        custom = isotropic_elastic("PZT-5H", 80e9, 0.3, 7000.0)
+        layup = {"width_mm": 10, "layers": [
+            {"material": "PZT-5H", "thickness_mm": 0.3, "poling": "+z", "electroded": True},
+            {"material": "Al-6061", "thickness_mm": 1.0},
+            {"material": "PZT-5H", "thickness_mm": 0.3, "poling": "-z", "electroded": True},
+            {"material": "Al-6061", "thickness_mm": 1.0},
+        ]}
+        section = build_section(layup, {"PZT-5H": custom})
+        assert section.layers[0].material is custom.plane
+        assert section.layers[2].material is custom.plane
+        # Al-6061 is missing from the mapping: the built-ins are built once
+        assert calls == {"convert_d_to_e": 0, "builtin_materials": 1}
