@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voltage", type=_voltage, action="append", default=[],
                    dest="voltages", help="terminal voltage, repeat per terminal")
     p.add_argument("--points", type=int, default=11, dest="samples_per_layer",
-                   help="sample points per layer")
+                   help="sample points per layer, at least 2")
 
     p = sub.add_parser("capacitance", help="terminal capacitance per unit length")
     common(p)

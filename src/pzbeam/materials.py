@@ -13,11 +13,19 @@ Two storage forms are supported: the e-form (stiffness cE at constant
 field, stress constants e, clamped permittivity epsS) used by the section
 reduction, and the d-form (compliance sE, strain constants d, free
 permittivity epsT) in which vendor datasheets are published.
+
+Every matrix and scalar of a record must be finite; a NaN or infinite
+constant is rejected, naming the field, before the symmetry and positive
+definiteness tests run. Positive definiteness is tested by a Cholesky
+factorization of the symmetric part 0.5 * (m + m.T), which fails exactly
+when some eigenvalue is not positive (up to round-off). numpy factors a
+NaN or infinite matrix without an error, so the test assumes finite input.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,12 +41,30 @@ class MaterialError(ValueError):
     """Invalid material constants or material database content."""
 
 
+def _unknown_keys_message(what: str, keys, known) -> str:
+    """Name each key not in known, with the nearest known key when there is one."""
+    import difflib  # here, on the error path: at module level it slows every CLI start
+
+    parts = []
+    for key in sorted(set(keys) - set(known), key=repr):
+        near = difflib.get_close_matches(key, sorted(known), n=1) if isinstance(key, str) else []
+        parts.append(f"{key!r}" + (f" (did you mean {near[0]!r}?)" if near else ""))
+    return f"unknown {what} key{'s' if len(parts) > 1 else ''} {', '.join(parts)}"
+
+
 def _as_matrix(value, shape, what):
     m = np.array(value, dtype=float)
     if m.shape != shape:
         raise MaterialError(f"{what} must have shape {shape}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise MaterialError(f"{what} has non-finite entries")
     m.flags.writeable = False
     return m
+
+
+def _check_density(name, density):
+    if not 0.0 < density < math.inf:
+        raise MaterialError(f"{name}: density must be positive and finite")
 
 
 def _check_symmetric(m, what, rtol=1e-8):
@@ -47,8 +73,22 @@ def _check_symmetric(m, what, rtol=1e-8):
         raise MaterialError(f"{what} is not symmetric")
 
 
+def _is_positive_definite(m) -> bool:
+    """Whether the symmetric part of a finite square matrix is positive definite.
+
+    np.linalg.cholesky reads only the lower triangle, so the symmetric part
+    is factored, not m itself. A NaN or infinite m factors without an error:
+    the caller checks finiteness first.
+    """
+    try:
+        np.linalg.cholesky(0.5 * (m + m.T))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _check_positive_definite(m, what):
-    if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) <= 0.0:
+    if not _is_positive_definite(m):
         raise MaterialError(f"{what} is not positive definite")
 
 
@@ -71,8 +111,7 @@ class Material3D:
         _check_positive_definite(self.cE, f"{self.name}: cE")
         _check_symmetric(self.epsS, f"{self.name}: epsS")
         _check_positive_definite(self.epsS, f"{self.name}: epsS")
-        if not self.density > 0.0:
-            raise MaterialError(f"{self.name}: density must be positive")
+        _check_density(self.name, self.density)
 
     @property
     def is_elastic(self) -> bool:
@@ -103,8 +142,7 @@ class MaterialDForm:
         _check_positive_definite(self.sE, f"{self.name}: sE")
         _check_symmetric(self.epsT, f"{self.name}: epsT")
         _check_positive_definite(self.epsT, f"{self.name}: epsT")
-        if not self.density > 0.0:
-            raise MaterialError(f"{self.name}: density must be positive")
+        _check_density(self.name, self.density)
 
     @cached_property
     def plane(self) -> PlaneMaterial:
@@ -117,8 +155,9 @@ class PlaneMaterial:
     """Thickness-condensed in-plane constants (T33 and shears eliminated).
 
     The remaining fields are the axial/transverse normal stresses T11, T22
-    and the through-thickness electric pair E3, D3. The in-plane stiffness
-    [[Q11, Q12], [Q12, Q22]] must be positive definite.
+    and the through-thickness electric pair E3, D3. Every constant must be
+    finite, and the in-plane stiffness [[Q11, Q12], [Q12, Q22]] must be
+    positive definite.
     """
 
     name: str
@@ -131,12 +170,14 @@ class PlaneMaterial:
     density: float       # kg/m^3
 
     def __post_init__(self):
+        for field in ("Q11", "Q12", "Q22", "e31", "e32", "eps33"):
+            if not math.isfinite(getattr(self, field)):
+                raise MaterialError(f"{self.name}: {field} must be finite")
         q = np.array([[self.Q11, self.Q12], [self.Q12, self.Q22]])
         _check_positive_definite(q, f"{self.name}: in-plane stiffness")
         if not self.eps33 > 0.0:
             raise MaterialError(f"{self.name}: eps33 must be positive")
-        if not self.density > 0.0:
-            raise MaterialError(f"{self.name}: density must be positive")
+        _check_density(self.name, self.density)
 
     @property
     def has_coupling(self) -> bool:
@@ -172,7 +213,7 @@ def convert_d_to_e(m: MaterialDForm) -> Material3D:
         cE = 0.5 * (cE + _swap_axes_12(cE))
         e = 0.5 * (e + _swap_axes_12(e))
         epsS = 0.5 * (epsS + _swap_axes_12(epsS))
-    if np.min(np.linalg.eigvalsh(epsS)) <= 0.0:
+    if not _is_positive_definite(epsS):
         raise MaterialError(f"{m.name}: inconsistent constants (epsS not positive definite)")
     return Material3D(name=m.name, cE=cE, e=e, epsS=epsS,
                       density=m.density, provenance=m.provenance)
@@ -255,25 +296,35 @@ def builtin_materials() -> dict:
     return {"PZT-5H": _pzt_5h(), "Al-6061": _al_6061()}
 
 
-def _record_from_json(entry: dict):
-    try:
-        name = entry["name"]
-        form = entry["form"]
-        density = float(entry["density_kg_m3"])
-        provenance = entry.get("provenance", "")
-        if form == "e":
-            return Material3D(name=name, cE=entry["cE_Pa"], e=entry["e_C_per_m2"],
-                              epsS=entry["epsS_F_per_m"], density=density,
-                              provenance=provenance)
-        if form == "d":
-            return MaterialDForm(name=name, sE=entry["sE_per_Pa"], d=entry["d_m_per_V"],
-                                 epsT=entry["epsT_F_per_m"], density=density,
-                                 provenance=provenance)
+# per record form: the record type and its matrix keys, in field order
+_FORMS = {"e": (Material3D, ("cE_Pa", "e_C_per_m2", "epsS_F_per_m")),
+          "d": (MaterialDForm, ("sE_per_Pa", "d_m_per_V", "epsT_F_per_m"))}
+_RECORD_KEYS = ("name", "form", "density_kg_m3", "provenance")
+
+
+def _record_from_json(entry):
+    if not isinstance(entry, dict):
+        raise MaterialError(f"malformed database: entry must be a JSON object, got {entry!r}")
+    name = entry.get("name")
+    if type(name) is not str:
+        raise MaterialError(f"malformed database: entry field 'name' must be a string, "
+                            f"got {name!r}")
+    form = entry.get("form")
+    if type(form) is not str or form not in _FORMS:
         raise MaterialError(f"invalid material {name}: unknown form {form!r}")
+    record_type, matrix_keys = _FORMS[form]
+    known = _RECORD_KEYS + matrix_keys
+    if entry.keys() - set(known):
+        raise MaterialError(f"invalid material {name}: "
+                            f"{_unknown_keys_message(f'{form}-form record', entry, known)}")
+    try:
+        return record_type(name, *(entry[key] for key in matrix_keys),
+                           density=float(entry["density_kg_m3"]),
+                           provenance=entry.get("provenance", ""))
     except KeyError as exc:
-        raise MaterialError(f"malformed database: entry missing key {exc}") from exc
-    except MaterialError as exc:
-        raise MaterialError(f"invalid material {entry.get('name', '?')}: {exc}") from exc
+        raise MaterialError(f"malformed database: entry {name!r} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise MaterialError(f"invalid material {name}: {exc}") from exc
 
 
 def load_material_db(path=None) -> dict:
@@ -294,6 +345,8 @@ def load_material_db(path=None) -> dict:
         entries = doc["materials"]
     except (json.JSONDecodeError, TypeError, KeyError) as exc:
         raise MaterialError(f"malformed database {path}: {exc}") from exc
+    if not isinstance(entries, list):
+        raise MaterialError(f"malformed database {path}: 'materials' must be a list")
     seen = set()
     for entry in entries:
         record = _record_from_json(entry)

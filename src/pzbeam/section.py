@@ -59,7 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .materials import PlaneMaterial, as_plane, builtin_materials
+from .materials import PlaneMaterial, _is_positive_definite, _unknown_keys_message, as_plane, \
+    builtin_materials
 
 
 class LayupError(ValueError):
@@ -83,6 +84,12 @@ class Closure(str, Enum):
             raise LayupError(f"unknown closure model {value!r} (expected nd, ns or nsr)") from None
 
 
+# bounds on a layer thickness and on the width, in m: beyond them the field
+# 1/h, the moment h^3 or the width-scaled matrix entries of a physical
+# material can leave the double range
+_MIN_LENGTH, _MAX_LENGTH = 1e-30, 1e30
+
+
 @dataclass(frozen=True)
 class Layer:
     """One layer of the stack, bottom face first.
@@ -99,9 +106,9 @@ class Layer:
     electroded: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.thickness < np.inf:
-            raise LayupError(f"layer thickness must be positive and finite, "
-                             f"got {self.thickness}")
+        if not _MIN_LENGTH <= self.thickness <= _MAX_LENGTH:
+            raise LayupError(f"layer thickness must be positive and finite, between "
+                             f"{_MIN_LENGTH:g} and {_MAX_LENGTH:g} m, got {self.thickness}")
         if self.poling not in (-1, 0, 1):
             raise LayupError(f"poling must be -1, 0 or +1, got {self.poling}")
         if self.poling == 0 and self.material.has_coupling:
@@ -129,8 +136,9 @@ class Section:
         object.__setattr__(self, "layers", tuple(self.layers))
         if len(self.layers) == 0:
             raise LayupError("section needs at least one layer")
-        if not 0.0 < self.width < np.inf:
-            raise LayupError(f"width must be positive and finite, got {self.width}")
+        if not _MIN_LENGTH <= self.width <= _MAX_LENGTH:
+            raise LayupError(f"width must be positive and finite, between {_MIN_LENGTH:g} "
+                             f"and {_MAX_LENGTH:g} m, got {self.width}")
         if self.wiring not in ("parallel", "independent"):
             raise LayupError(f"unknown wiring {self.wiring!r}")
 
@@ -193,6 +201,10 @@ class SectionConstitutive:
     matrix rows/columns are ordered (eps, kappa, V_0, ..., V_{T-1}) against
     (N, M, q_0, ..., q_{T-1}). The matrix is stored exactly as assembled,
     without symmetrization; its symmetry is the reciprocity statement.
+    It must be finite, and its stiffness block Kmm and capacitance block Cq
+    positive definite: each block's symmetric part must have a Cholesky
+    factor. Finiteness is checked first, because a NaN or infinite block
+    factors without an error.
     """
 
     matrix: np.ndarray
@@ -209,9 +221,9 @@ class SectionConstitutive:
         object.__setattr__(self, "matrix", m)
         if not np.all(np.isfinite(m)):
             raise LayupError("constitutive matrix has non-finite entries")
-        if np.min(np.linalg.eigvalsh(0.5 * (self.kmm + self.kmm.T))) <= 0.0:
+        if not _is_positive_definite(self.kmm):
             raise LayupError("mechanical stiffness block is not positive definite")
-        if self.n_terminals and np.min(np.linalg.eigvalsh(0.5 * (self.cq + self.cq.T))) <= 0.0:
+        if self.n_terminals and not _is_positive_definite(self.cq):
             raise LayupError("capacitance block is not positive definite")
 
     @property
@@ -411,8 +423,15 @@ def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
 
 def recover_stress_profile(section: Section, closure, state: GeneralizedState,
                            samples_per_layer: int = 11) -> StressProfile:
-    """Layerwise-linear T11 and T22 fields for an imposed generalized state."""
+    """Layerwise-linear T11 and T22 fields for an imposed generalized state.
+
+    Each layer is sampled at samples_per_layer (an int >= 2) evenly spaced
+    points from its bottom face to its top face, both included.
+    """
     closure = Closure.coerce(closure)
+    if not isinstance(samples_per_layer, (int, np.integer)) or samples_per_layer < 2:
+        raise LayupError(f"samples per layer must be an integer of at least 2, "
+                         f"got {samples_per_layer!r}")
     if len(state.voltages) != section.n_terminals:
         raise LayupError(f"state has {len(state.voltages)} voltages, "
                          f"section has {section.n_terminals} terminals")
@@ -431,8 +450,12 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
                          t.q12 * t.kappa + t.q22 * s1))
     n2, m2 = _integrals(t, t22[:, :1], t22[:, 1:])
 
+    # np.linspace's arithmetic without its overhead: start + i * step, with
+    # the last point set to the layer's top face
     z = section.z_interfaces
-    zq = np.linspace(z[:-1], z[1:], samples_per_layer, axis=1)
+    z0, z1 = np.array(z[:-1])[:, None], np.array(z[1:])[:, None]
+    zq = np.arange(samples_per_layer) * ((z1 - z0) / (samples_per_layer - 1)) + z0
+    zq[:, -1:] = z1
     samples = np.column_stack((np.repeat(np.arange(len(zq)), samples_per_layer), zq.ravel(),
                                (t11[:, :1] + t11[:, 1:] * zq).ravel(),
                                (t22[:, :1] + t22[:, 1:] * zq).ravel()))
@@ -492,6 +515,21 @@ def compare_closures(section: Section, reference_capacitance: float | None = Non
 # layup files
 
 _POLING = {"+z": 1, "-z": -1, "none": 0}
+_LAYUP_KEYS = frozenset(("width_mm", "wiring", "layers"))
+_LAYER_KEYS = frozenset(("material", "thickness_mm", "poling", "electroded"))
+
+
+def _check_keys(entry, known, what):
+    """Reject a non-object entry, or one with a key not in known."""
+    if not isinstance(entry, dict):
+        raise LayupError(f"{what} must be a JSON object, got {entry!r}")
+    if entry.keys() - known:
+        raise LayupError(_unknown_keys_message(what, entry, known))
+
+
+def _check_str(value, field):
+    if type(value) is not str:
+        raise LayupError(f"field {field!r} must be a string, got {value!r}")
 
 
 def build_section(layup: dict, materials: dict | None = None) -> Section:
@@ -499,29 +537,41 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
 
     Expected keys: width_mm, wiring ('parallel' | 'independent') and layers,
     a bottom-to-top list of {material, thickness_mm, poling, electroded}.
+    Any other key is rejected, naming the nearest known key; material,
+    poling and wiring must be strings and electroded a bool.
     Material names resolve against the optional materials mapping first and
     then against the built-in records, which are built only if a name is
     missing from the mapping.
     """
     materials = materials or {}
     builtins = None
+    _check_keys(layup, _LAYUP_KEYS, "layup")
     try:
         width = float(layup["width_mm"]) * 1e-3
         wiring = layup.get("wiring", "parallel")
         entries = layup["layers"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise LayupError(f"malformed layup description: {exc}") from exc
+    _check_str(wiring, "wiring")
+    if not isinstance(entries, (list, tuple)):
+        raise LayupError(f"layup field 'layers' must be a list, got {entries!r}")
     if not entries:
         raise LayupError("layup has no layers")
     layers = []
     for entry in entries:
+        # one subset test per layer on the accepted path
+        if type(entry) is not dict or not _LAYER_KEYS.issuperset(entry):
+            _check_keys(entry, _LAYER_KEYS, "layer")
         try:
             name = entry["material"]
             thickness = float(entry["thickness_mm"]) * 1e-3
             poling_key = entry.get("poling", "none")
             electroded = entry.get("electroded", False)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise LayupError(f"malformed layer entry: {exc}") from exc
+        if type(name) is not str or type(poling_key) is not str:
+            _check_str(name, "material")
+            _check_str(poling_key, "poling")
         if not isinstance(electroded, bool):
             raise LayupError(f"layer field 'electroded' must be true or false, "
                              f"got {electroded!r}")

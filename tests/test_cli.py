@@ -92,10 +92,12 @@ class TestExitCodes:
         assert "input error" in err and "length" in err
 
     @pytest.mark.parametrize("key, value", [("width_mm", "inf"), ("thickness_mm", "inf"),
-                                            ("electroded", "false")])
+                                            ("electroded", "false"), ("material", ["PZT-5H"]),
+                                            ("poling", 1), ("wiring", ["parallel"]),
+                                            ("electrode", True), ("width", 17.8)])
     def test_bad_layup_value_is_input_error(self, capsys, tmp_path, key, value):
         layup = json.loads(Path(SANDWICH).read_text())
-        if key == "width_mm":
+        if key in ("width_mm", "wiring", "width"):
             layup[key] = value
         else:
             layup["layers"][0][key] = value
@@ -104,6 +106,23 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "capacitance", "--layup", str(bad))
         assert code == 2 and not out
         assert "input error" in err and key.split("_")[0] in err
+
+    def test_non_finite_material_constant_is_input_error(self, capsys, tmp_path):
+        shipped = json.loads((DOCS / "materials.json").read_text())["materials"]
+        al = dict(next(m for m in shipped if m["name"] == "Al-6061"), name="Al-overflow")
+        al["cE_Pa"][0][0] = "BIG"
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [al]}).replace('"BIG"', "1e400"))
+        code, out, err = run_cli(capsys, "reduce", "--layup", SANDWICH,
+                                 "--materials", str(path))
+        assert code == 2 and not out
+        assert "input error" in err and "cE" in err
+
+    @pytest.mark.parametrize("points", ["0", "1", "-1"])
+    def test_too_few_points_is_input_error(self, capsys, points):
+        code, out, err = run_cli(capsys, "stress", "--layup", SANDWICH, f"--points={points}")
+        assert code == 2 and not out
+        assert "input error" in err and "samples per layer" in err
 
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "reduce", "--layup", SANDWICH)

@@ -8,6 +8,7 @@ from pzbeam import (
     Material3D,
     MaterialDForm,
     MaterialError,
+    PlaneMaterial,
     as_plane,
     builtin_materials,
     condense_to_plane,
@@ -15,6 +16,7 @@ from pzbeam import (
     isotropic_elastic,
     load_material_db,
 )
+from pzbeam.materials import _is_positive_definite
 
 
 def isotropic_compliance(youngs, poisson):
@@ -175,6 +177,45 @@ class TestValidation:
         with pytest.raises(MaterialError, match="density"):
             isotropic_elastic("x", 69e9, 0.3, density=0.0)
 
+    @pytest.mark.parametrize("field", ["cE", "e", "epsS", "sE", "d", "epsT"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_named(self, field, bad):
+        # checked before symmetry and definiteness: numpy factors a NaN matrix
+        # without an error
+        record = builtin_materials()["Al-6061" if field in ("cE", "e", "epsS") else "PZT-5H"]
+        fields = {f: np.array(getattr(record, f)) for f in ("cE", "e", "epsS", "sE", "d", "epsT")
+                  if hasattr(record, f)}
+        fields[field][0, 0] = bad
+        with pytest.raises(MaterialError, match=f"x: {field} has non-finite entries"):
+            type(record)(name="x", density=1.0, **fields)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density(self, bad):
+        with pytest.raises(MaterialError, match="density must be positive and finite"):
+            isotropic_elastic("x", 69e9, 0.3, density=bad)
+
+    @pytest.mark.parametrize("field", ["Q11", "Q12", "Q22", "e31", "e32", "eps33", "density"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_plane_constant_named(self, field, bad):
+        p = as_plane(builtin_materials()["PZT-5H"])
+        values = {f: getattr(p, f) for f in ("Q11", "Q12", "Q22", "e31", "e32", "eps33",
+                                             "density")}
+        values[field] = bad
+        with pytest.raises(MaterialError, match=field):
+            PlaneMaterial(name="x", **values)
+
+
+class TestPositiveDefinite:
+    @pytest.mark.parametrize("m, expected", [
+        ([[1.0]], True), ([[0.0]], False), ([[-1.0]], False),
+        (np.eye(4), True), ([[1.0, 2.0], [2.0, 1.0]], False),
+        ([[1.0, 1.0], [1.0, 1.0]], False),    # positive semidefinite, singular
+        ([[2.0, 5.0], [-5.0, 2.0]], True),    # symmetric part 2 I
+        ([[2.0, -5.0], [5.0, 2.0]], True),
+    ])
+    def test_cases(self, m, expected):
+        assert _is_positive_definite(np.array(m)) is expected
+
 
 class TestMaterialDb:
     def test_builtins_always_available(self):
@@ -226,6 +267,49 @@ class TestMaterialDb:
         path = tmp_path / "db.json"
         path.write_text(json.dumps({"materials": [entry]}))
         with pytest.raises(MaterialError, match="warped"):
+            load_material_db(path)
+
+    @staticmethod
+    def _al_entry(**changes):
+        al = builtin_materials()["Al-6061"]
+        entry = {"name": "x", "form": "e", "cE_Pa": np.array(al.cE).tolist(),
+                 "e_C_per_m2": np.zeros((3, 6)).tolist(),
+                 "epsS_F_per_m": (EPS0 * np.eye(3)).tolist(), "density_kg_m3": 2700.0}
+        entry.update(changes)
+        return entry
+
+    def test_overflowing_constant_named(self, tmp_path):
+        # 1e400 parses to inf; it is rejected before the symmetry test, which
+        # would otherwise warn on inf - inf
+        import json
+        entry = self._al_entry()
+        entry["cE_Pa"][0][0] = "BIG"
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [entry]}).replace('"BIG"', "1e400"))
+        with pytest.raises(MaterialError, match="x: cE has non-finite entries"):
+            load_material_db(path)
+
+    @pytest.mark.parametrize("key, hint", [("epsS_F_m", "epsS_F_per_m"),
+                                           ("density", "density_kg_m3"),
+                                           ("sE_per_Pa", None)])
+    def test_unknown_record_key_named(self, tmp_path, key, hint):
+        import json
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [self._al_entry(**{key: 1.0})]}))
+        message = f"unknown e-form record key '{key}'"
+        if hint:
+            message += f" \\(did you mean '{hint}'\\?\\)"
+        with pytest.raises(MaterialError, match=message):
+            load_material_db(path)
+
+    @pytest.mark.parametrize("doc", [{"materials": ["x"]}, {"materials": 3},
+                                     {"materials": [{"name": ["x"], "form": "e"}]},
+                                     {"materials": [{"name": "x", "form": ["e"]}]}])
+    def test_malformed_records_rejected(self, tmp_path, doc):
+        import json
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MaterialError):
             load_material_db(path)
 
     def test_shipped_example_file_loads(self):

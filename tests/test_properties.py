@@ -1,15 +1,18 @@
 """Property-based invariants over randomized materials and layups."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pzbeam import (
     EPS0,
     GeneralizedState,
     Layer,
+    LayupError,
     MaterialDForm,
+    MaterialError,
     PlaneMaterial,
     Section,
+    build_section,
     builtin_materials,
     capacitance_per_length,
     condense_to_plane,
@@ -19,6 +22,7 @@ from pzbeam import (
     recover_stress_profile,
     reduce_section,
 )
+from pzbeam.materials import _is_positive_definite
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -204,3 +208,78 @@ def test_actuation_sensing_reciprocity(section, closure):
     sensing = k.matrix[2:, :2]
     assert np.max(np.abs(sensing - k.kme.T)) <= 1e-12 * max(
         coupling_scale, np.max(np.abs(k.matrix)) * 1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 50), seed=st.integers(0, 2 ** 32 - 1), shift=st.floats(-1.0, 1.0),
+       scale=st.floats(-15.0, 15.0))
+def test_positive_definite_helper_agrees_with_eigenvalues(n, seed, shift, scale):
+    # a shifted Wishart matrix is definite or indefinite depending on the
+    # shift; eigvalsh is the reference, away from its round-off band. A
+    # skew-symmetric part is added because the helper must test the
+    # symmetric part, as the stored constitutive matrix is unsymmetrized
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    m = 10.0 ** scale * (a @ a.T / n + shift * np.eye(n))
+    lowest = np.linalg.eigvalsh(m)[0]
+    assume(abs(lowest) > 1e-8 * np.linalg.norm(m))
+    skew = rng.standard_normal((n, n))
+    skew = 10.0 ** scale * (skew - skew.T)
+    assert _is_positive_definite(m + skew) == (lowest > 0.0)
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.sampled_from(("PZT-5H", "Al-6061", "+z", "-z", "none", "parallel", "independent",
+                     "0.3", "inf", "nan", "1e400", "")))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+
+
+@st.composite
+def _objects(draw, fields, typo):
+    """Objects whose keys mostly hold valid values; now and then a key is
+    missing, holds an arbitrary value or is misspelt, or the whole object is
+    an arbitrary value. The rare branches key on middle values of each roll,
+    since hypothesis often draws the bounds of an integer range."""
+    if draw(st.integers(0, 19)) == 7:
+        return draw(_json_values)
+    obj = {}
+    for key, valid in fields.items():
+        roll = draw(st.integers(0, 19))
+        if roll != 7:
+            obj[key] = draw(_json_values if roll == 13 else valid)
+    if draw(st.integers(0, 19)) == 7:
+        obj[typo] = draw(_json_values)
+    return obj
+
+
+_layers = _objects({
+    "material": st.sampled_from(("PZT-5H", "Al-6061")),
+    "thickness_mm": st.floats(0.01, 5.0) | st.floats(0.0, 1e308),
+    "poling": st.sampled_from(("+z", "-z", "none")),
+    "electroded": st.booleans(),
+}, typo="electrode")
+_layups = _objects({
+    "width_mm": st.floats(1.0, 50.0) | st.floats(0.0, 1e308),
+    "wiring": st.sampled_from(("parallel", "independent")),
+    "layers": st.lists(_layers, min_size=1, max_size=3),
+}, typo="width")
+
+
+@settings(max_examples=300, deadline=None)
+@given(layup=_layups)
+def test_json_like_layups_reduce_finitely_or_raise_typed_errors(layup):
+    try:
+        section = build_section(layup)
+    except (LayupError, MaterialError):
+        return
+    for closure in CLOSURES:
+        try:
+            matrix = reduce_section(section, closure).matrix
+        except LayupError:
+            continue
+        assert np.isfinite(matrix).all()

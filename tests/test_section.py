@@ -102,6 +102,35 @@ class TestBuildSection:
                      "electroded": value}]})
 
 
+    @pytest.mark.parametrize("field, value", [("material", ["PZT-5H"]), ("material", 5),
+                                              ("poling", 1), ("poling", ["+z"]),
+                                              ("wiring", ["parallel"]), ("wiring", None)])
+    def test_string_fields_must_be_strings(self, field, value):
+        layer = {"material": "PZT-5H", "thickness_mm": 0.3, "poling": "+z", "electroded": True}
+        layup = {"width_mm": 10, "layers": [layer]}
+        (layup if field == "wiring" else layer)[field] = value
+        with pytest.raises(LayupError, match=f"'{field}' must be a string"):
+            build_section(layup)
+
+    @pytest.mark.parametrize("where, key, hint", [
+        ("layer", "electrode", "electroded"), ("layer", "thickness", "thickness_mm"),
+        ("layup", "width", "width_mm"), ("layup", "wirring", "wiring")])
+    def test_unknown_key_names_nearest(self, where, key, hint):
+        layer = {"material": "PZT-5H", "thickness_mm": 0.3, "poling": "+z", "electroded": True}
+        layup = {"width_mm": 10, "layers": [layer]}
+        (layer if where == "layer" else layup)[key] = True
+        with pytest.raises(LayupError, match=f"unknown {where} key '{key}' "
+                                             f"\\(did you mean '{hint}'\\?\\)"):
+            build_section(layup)
+
+    @pytest.mark.parametrize("layup", [[], "layers", {"width_mm": 10, "layers": "PZT-5H"},
+                                       {"width_mm": 10, "layers": ["PZT-5H"]},
+                                       {"width_mm": "wide", "layers": [{}]}])
+    def test_malformed_structure(self, layup):
+        with pytest.raises(LayupError):
+            build_section(layup)
+
+
 class TestFiniteInputs:
     LAYER = {"material": "Al-6061", "thickness_mm": 1.0}
 
@@ -118,6 +147,13 @@ class TestFiniteInputs:
             with pytest.raises(LayupError):
                 Layer(AL, thickness)
 
+    @pytest.mark.parametrize("length", [0.5e-30, 2e30, 1e300])
+    def test_length_out_of_range(self, length):
+        with pytest.raises(LayupError, match="thickness"):
+            Layer(AL, length)
+        with pytest.raises(LayupError, match="width"):
+            Section(layers=(Layer(AL, 1e-3),), width=length)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix(self, bad):
         # NaN fails no eigenvalue comparison, so finiteness is checked first
@@ -125,6 +161,41 @@ class TestFiniteInputs:
         matrix[2, 2] = bad
         with pytest.raises(LayupError, match="non-finite"):
             SectionConstitutive(matrix=matrix, n_terminals=1, closure=Closure.NSR, width=0.01)
+
+
+class TestPositiveDefiniteness:
+    @staticmethod
+    def _constitutive(kmm, cq):
+        t = len(cq)
+        matrix = np.zeros((2 + t, 2 + t))
+        matrix[:2, :2] = kmm
+        matrix[2:, 2:] = cq
+        return SectionConstitutive(matrix=matrix, n_terminals=t, closure=Closure.NSR,
+                                   width=0.01)
+
+    def test_definite_blocks_accepted(self):
+        k = self._constitutive([[2.0, 1.0], [1.0, 2.0]], [[3e-8, 1e-8], [1e-8, 3e-8]])
+        assert k.n_terminals == 2
+
+    def test_indefinite_stiffness_rejected(self):
+        with pytest.raises(LayupError, match="stiffness block is not positive definite"):
+            self._constitutive([[1.0, 2.0], [2.0, 1.0]], [[1e-8]])
+
+    def test_indefinite_capacitance_rejected(self):
+        with pytest.raises(LayupError, match="capacitance block is not positive definite"):
+            self._constitutive(np.eye(2), [[1e-8, 0.0], [0.0, -1e-9]])
+
+    def test_singular_capacitance_rejected(self):
+        # positive semidefinite: eigenvalues 2e-8 and exactly 0
+        with pytest.raises(LayupError, match="capacitance block is not positive definite"):
+            self._constitutive(np.eye(2), [[1e-8, 1e-8], [1e-8, 1e-8]])
+
+    def test_symmetric_part_is_tested(self):
+        # the lower triangle alone, [[1, 0], [-3, 1]], has no Cholesky factor;
+        # the symmetric part, the identity, has one
+        matrix = np.eye(3)
+        matrix[0, 1], matrix[1, 0] = 3.0, -3.0
+        SectionConstitutive(matrix=matrix, n_terminals=1, closure=Closure.ND, width=0.01)
 
 
 class TestReduceSection:
@@ -288,6 +359,24 @@ class TestStressProfile:
             row = profile.samples[3 * i + 1]
             assert row[1] == pytest.approx(zm, rel=1e-15)
             assert row[2] == c0 + c1 * row[1]
+
+    @pytest.mark.parametrize("n", [0, 1, -1, 2.0, True, "11"])
+    def test_samples_per_layer_must_be_int_of_at_least_two(self, sandwich, n):
+        with pytest.raises(LayupError, match="samples per layer"):
+            recover_stress_profile(sandwich, "nsr", GeneralizedState(voltages=(1.0,)),
+                                   samples_per_layer=n)
+
+    @pytest.mark.parametrize("n", [2, 3, np.int64(7), 11])
+    def test_samples_match_linspace(self, n):
+        # at n = 11 one layer's bottom + 10 * step misses its top face by an
+        # ulp, which linspace replaces by the top face
+        section = build_section(MIXED_LAYUP)
+        profile = recover_stress_profile(section, "nsr",
+                                         GeneralizedState(voltages=(1.0, 2.0, 3.0)),
+                                         samples_per_layer=n)
+        z = section.z_interfaces
+        want = np.linspace(z[:-1], z[1:], n, axis=1).ravel()
+        assert profile.samples[:, 1].tobytes() == want.tobytes()
 
     def test_voltage_count_checked(self, sandwich):
         with pytest.raises(LayupError, match="voltages"):
