@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -31,7 +32,12 @@ _VOLTAGE_UNITS = {"V": 1.0, "kV": 1e3, "mV": 1e-3}
 _CAP_PER_LENGTH_UNITS = {"F/m": 1.0, "nF/mm": 1e-6, "pF/mm": 1e-9, "nF/m": 1e-9}
 
 
-def _quantity(units: dict, what: str):
+def _quantity(units: dict, what: str, positive: bool = False):
+    """An argparse type: a finite number (positive if asked) with an optional unit suffix."""
+    expected = f"a {'positive ' if positive else ''}finite number"
+    if units:
+        expected += f" with optional unit {'/'.join(units)}"
+
     def parse(text: str) -> float:
         s = text.strip()
         for suffix in sorted(units, key=len, reverse=True):
@@ -41,19 +47,21 @@ def _quantity(units: dict, what: str):
         else:
             suffix, number = None, s
         try:
-            value = float(number)
+            value = float(number) * (units[suffix] if suffix else 1.0)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad {what} {text!r}: expected a number with optional unit "
-                f"{'/'.join(units)}") from None
-        return value * (units[suffix] if suffix else 1.0)
+            value = math.nan    # not a number: rejected below with the same message
+        if not math.isfinite(value) or (positive and value <= 0.0):
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: expected {expected}")
+        return value
 
     return parse
 
 
 _length = _quantity(_LENGTH_UNITS, "length")
 _voltage = _quantity(_VOLTAGE_UNITS, "voltage")
-_cap_per_length = _quantity(_CAP_PER_LENGTH_UNITS, "capacitance per unit length")
+_cap_per_length = _quantity(_CAP_PER_LENGTH_UNITS, "capacitance per unit length", positive=True)
+_strain = _quantity({}, "strain")
+_curvature = _quantity({}, "curvature")
 
 
 @dataclass
@@ -103,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stress", help="recover the layerwise-linear stress profile")
     common(p)
-    p.add_argument("--eps", type=float, default=0.0, help="axial mid-plane strain")
-    p.add_argument("--kappa", type=float, default=0.0, help="curvature, 1/m")
+    p.add_argument("--eps", type=_strain, default=0.0, help="axial mid-plane strain")
+    p.add_argument("--kappa", type=_curvature, default=0.0, help="curvature, 1/m")
     p.add_argument("--voltage", type=_voltage, action="append", default=[],
                    dest="voltages", help="terminal voltage, repeat per terminal")
     p.add_argument("--points", type=int, default=11, dest="samples_per_layer",

@@ -318,12 +318,17 @@ def _record_from_json(entry):
         raise MaterialError(f"invalid material {name}: "
                             f"{_unknown_keys_message(f'{form}-form record', entry, known)}")
     try:
-        return record_type(name, *(entry[key] for key in matrix_keys),
-                           density=float(entry["density_kg_m3"]),
-                           provenance=entry.get("provenance", ""))
+        matrices = [entry[key] for key in matrix_keys]
+        density = entry["density_kg_m3"]
     except KeyError as exc:
         raise MaterialError(f"malformed database: entry {name!r} missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    if type(density) not in (int, float):
+        raise MaterialError(f"invalid material {name}: field 'density_kg_m3' must be a "
+                            f"finite number, got {density!r}")
+    try:
+        return record_type(name, *matrices, density=float(density),
+                           provenance=entry.get("provenance", ""))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MaterialError(f"invalid material {name}: {exc}") from exc
 
 

@@ -30,30 +30,32 @@ Sign conventions (single source of truth for the whole package):
   which is symmetric: the actuation coupling (force per volt) equals the
   sensing coupling (charge per unit strain) entry for entry.
 
-Under every closure S22 is linear in z within a layer, so T11, T22 and D3
-are layerwise linear in z and linear in the generalized state. The
-reduction, the NSR transverse field and the stress recovery all read one
-per-layer table: the condensed material columns, the layer moments and the
-field E3 = -poling * V / h per generalized state. The reduction evaluates
-the table over the 2+T unit states, and stress recovery over the one
-imposed state. The moments int 1, int z and int z^2 of a layer of
-thickness h centered at zc are written as h, h*zc and h*zc^2 + h^3/12.
-Plain differences such as (z1^2 - z0^2)/2 cancel for a thin layer far from
-the mid-plane: for a 1e-12 mm skin on a 2 mm core they keep only about
-four digits. The centered forms keep full relative precision.
-
-A Section is immutable, so it builds its table once, on first use, and
-every reduction, transverse field and stress recovery of that section reads
-the same table. The table's arrays are read-only; stress recovery swaps its
-one state in with _replace and never writes to the shared arrays.
+Under every closure S22 is linear in z within a layer, so each closure's
+matrix has a closed form: layer sums of material x moment products, and
+per-terminal scatters (np.bincount, in layer order) over the electroded
+layers, whose field per volt of their terminal is g = -poling/h. NS is ND on
+the columns Q11 - Q12^2/Q22, e31 - Q12*e32/Q22 and eps33 + e32^2/Q22; NSR is
+ND plus a rank-2 correction by the transverse field (a, b) of every unit
+state. A unit voltage drives only its own terminal's layers, so no array is
+larger than O(L + T) apart from the (2+T)^2 matrix. The N and M rows
+integrate T11 (actuation) and the q rows collect the mean D3 (sensing);
+neither is filled from the other. Sums are elementwise products reduced with
+.sum(), never @, np.dot or einsum: a BLAS dot fuses multiply and add, which
+leaves one rounding error of a mirrored pair behind (the bimorph's B = 0 came
+out as 2.2e-15 N m). The moments int 1, z, z^2 of a layer of thickness h
+centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep full precision
+for a thin layer far from the mid-plane. A Section builds its read-only
+per-layer table once; its reductions and stress recoveries all read it.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
@@ -191,7 +193,10 @@ class GeneralizedState:
     voltages: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "voltages", tuple(float(v) for v in self.voltages))
+        voltages = tuple(float(v) for v in self.voltages)
+        object.__setattr__(self, "voltages", voltages)
+        if not all(map(math.isfinite, (self.eps, self.kappa) + voltages)):
+            raise LayupError(f"generalized state must be finite, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -299,15 +304,16 @@ class StressProfile:
 # the per-layer table
 
 class _LayerTable(NamedTuple):
-    """Struct of arrays over the layers of one section and a set of states.
+    """Read-only columns of one section, built once per Section.
 
-    Per-layer columns have shape (L, 1) and broadcast against the (L, S)
-    fields over S generalized states: the 2+T unit states when reducing, one
-    state when recovering stresses. eps and kappa are the (1, S) rows of the
-    states' strain and curvature; e3 holds E3 in each layer's poling frame.
-    m0, m1, m2 are the exact layer integrals of 1, z and z^2, written around
-    the layer center zc. Electroded layer members[i] feeds terminal
-    collect[i].
+    Per layer: the material columns, the center zc and the moments rows m0,
+    m1, m2. Electroded layer members[i] feeds terminal collect[i] and sees
+    E3 = g[i] * V, and pg = poling*g. The electrode rows -g*m0, -g*m1,
+    poling and poling*zc, times e31 (or e32), give the T11 (or T22) of a
+    unit voltage and the charge of a unit strain and curvature; slots sends
+    row r to bin r*T + collect, so one bincount scatters all four. k is the
+    NSR stiffness sum Q22*(m0, m1; m1, m2). No sum is a BLAS dot, which
+    would break the exact cancellation of mirrored layers.
     """
 
     q11: np.ndarray
@@ -316,34 +322,36 @@ class _LayerTable(NamedTuple):
     e31: np.ndarray
     e32: np.ndarray
     eps33: np.ndarray
-    poling: np.ndarray
     zc: np.ndarray
-    m0: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-    eps: np.ndarray
-    kappa: np.ndarray
-    e3: np.ndarray
+    moments: np.ndarray
     members: np.ndarray
     collect: np.ndarray
+    g: np.ndarray
+    pg: np.ndarray
+    electrode: np.ndarray
+    slots: np.ndarray
+    k: np.ndarray
 
 
 def _layer_table(section: Section) -> _LayerTable:
-    """The table of a section over its 2+T unit generalized states."""
-    q11, q12, q22, e31, e32, eps33, poling, h, z0 = np.array(
-        [(l.material.Q11, l.material.Q12, l.material.Q22, l.material.e31, l.material.e32,
-          l.material.eps33, l.poling, l.thickness, z) for l, z in
-         zip(section.layers, section.z_interfaces)]).T[:, :, None]
-    terminals = section.terminals
-    members, collect = np.array([(i, t) for t, m in enumerate(terminals) for i in m],
-                                dtype=int).reshape(-1, 2).T
-    unit = np.eye(2, 2 + len(terminals))
-    e3 = np.zeros((len(h), unit.shape[1]))
-    e3[members, 2 + collect] = -poling[members, 0] / h[members, 0]
+    """The read-only table of a section (see _LayerTable)."""
+    layers, terminals = section.layers, section.terminals
+    q11, q12, q22, e31, e32, eps33, poling, h, z0 = np.fromiter(chain.from_iterable(
+        (l.material.Q11, l.material.Q12, l.material.Q22, l.material.e31, l.material.e32,
+         l.material.eps33, l.poling, l.thickness, z) for l, z in
+        zip(layers, section.z_interfaces)), float, 9 * len(layers)).reshape(-1, 9).T
+    members, collect = np.fromiter(chain.from_iterable(
+        (i, t) for t, m in enumerate(terminals) for i in m), int).reshape(-1, 2).T
     zc = z0 + 0.5 * h
     m1 = h * zc
-    table = _LayerTable(q11, q12, q22, e31, e32, eps33, poling, zc, h, m1,
-                        m1 * zc + h ** 3 / 12.0, unit[:1], unit[1:], e3, members, collect)
+    moments = np.array((h, m1, m1 * zc + h ** 3 / 12.0))
+    pm = poling[members]
+    g = -pm / h[members]
+    electrode = np.array((-g * h[members], -g * m1[members], pm, pm * zc[members]))
+    slots = (collect + len(terminals) * np.arange(4)[:, None]).ravel()
+    k0, k1, k2 = (q22 * moments).sum(axis=1)
+    table = _LayerTable(q11, q12, q22, e31, e32, eps33, zc, moments, members, collect, g,
+                        pm * g, electrode, slots, np.array(((k0, k1), (k1, k2))))
     for column in table:
         column.flags.writeable = False
     return table
@@ -351,30 +359,33 @@ def _layer_table(section: Section) -> _LayerTable:
 
 def _integrals(t: _LayerTable, c0, c1) -> tuple:
     """int f dz and int z*f dz of the layerwise-linear f = c0 + c1*z."""
-    return ((c0 * t.m0 + c1 * t.m1).sum(axis=0), (c0 * t.m1 + c1 * t.m2).sum(axis=0))
+    m0, m1, m2 = t.moments
+    return (c0 * m0 + c1 * m1).sum(), (c0 * m1 + c1 * m2).sum()
 
 
-def _s22(t: _LayerTable, closure: Closure) -> tuple:
-    """Coefficients (s0, s1) of S22 = s0 + s1*z per layer and state."""
-    if closure is Closure.ND:
-        return 0.0, 0.0
-    if closure is Closure.NS:
-        return (t.e32 * t.e3 - t.q12 * t.eps) / t.q22, -t.q12 * t.kappa / t.q22
-    # a + b*z cancels both resultants of the T22 that S22 = 0 leaves
-    n2, m2 = _integrals(t, t.q12 * t.eps - t.e32 * t.e3, t.q12 * t.kappa)
-    k0, k1, k2 = np.sum(t.q22 * (t.m0, t.m1, t.m2), axis=(1, 2))
-    a, b = np.linalg.solve(((k0, k1), (k1, k2)), -np.array((n2, m2)))
-    return a, b
+def _scatter(t: _LayerTable, column, n_terminals: int) -> np.ndarray:
+    """Per-terminal sums of column times each electrode row, shape (4, T)."""
+    weights = column[t.members] * t.electrode
+    return np.bincount(t.slots, weights.ravel(), minlength=4 * n_terminals).reshape(4, -1)
 
 
-def _t11(t: _LayerTable, s0, s1) -> tuple:
-    """Coefficients (c0, c1) of T11 = c0 + c1*z per layer and state."""
-    return (t.q11 * t.eps + t.q12 * s0 - t.e31 * t.e3, t.q11 * t.kappa + t.q12 * s1)
+def _nsr_field(t: _LayerTable, n_terminals: int) -> tuple:
+    """(a, b) of S22 = a + b*z for every unit state, with the Q12 sums and e32 scatters.
+
+    a + b*z cancels both resultants n2, m2 of the T22 = Q12*S11 - e32*E3
+    that S22 = 0 leaves: K (a, b) = -(n2, m2).
+    """
+    s12 = (t.q12 * t.moments).sum(axis=1)
+    v = _scatter(t, t.e32, n_terminals)
+    rhs = np.empty((2, 2 + n_terminals))
+    rhs[0, :2], rhs[1, :2], rhs[:, 2:] = s12[:2], s12[1:], v[:2]
+    a, b = np.linalg.solve(t.k, -rhs)
+    return a, b, s12, v
 
 
 def nsr_transverse_field(section: Section) -> TransverseField:
     """Solve the 2x2 resultant-annihilation system for all unit states at once."""
-    a, b = _s22(section._table, Closure.NSR)
+    a, b, _, _ = _nsr_field(section._table, section.n_terminals)
     return TransverseField(coefficients=np.column_stack((a, b)))
 
 
@@ -389,16 +400,33 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     """
     closure = Closure.coerce(closure)
     t = section._table
-    s0, s1 = _s22(t, closure)
-    n, m = _integrals(t, *_t11(t, s0, s1))
-    d3 = t.e31 * (t.eps + t.kappa * t.zc) + t.e32 * (s0 + s1 * t.zc) + t.eps33 * t.e3
-    q = np.zeros((len(n) - 2, len(n)))
-    np.add.at(q, t.collect, t.poling[t.members] * d3[t.members])
+    n_terminals = section.n_terminals
+    q11, e31, eps33 = t.q11, t.e31, t.eps33
+    if closure is Closure.NS:
+        # T22 = 0 layer by layer: ND on the plane-stress-condensed columns
+        q11 = q11 - t.q12 ** 2 / t.q22
+        e31 = e31 - t.q12 * t.e32 / t.q22
+        eps33 = eps33 + t.e32 ** 2 / t.q22
+    s0, s1, s2 = (q11 * t.moments).sum(axis=1)
+    v = _scatter(t, e31, n_terminals)
+    k = np.zeros((2 + n_terminals, 2 + n_terminals))
+    k[0, :2], k[1, :2] = (s0, s1), (s1, s2)
+    k[:2, 2:] = v[:2]       # T11 of the unit voltages
+    k[2:, :2] = v[2:].T     # charge of the unit strain and curvature
+    # voltage j drives only terminal j's layers, so its charge is diagonal
+    cq = k[2:, 2:]
+    np.fill_diagonal(cq, np.bincount(t.collect, eps33[t.members] * t.pg, minlength=n_terminals))
+    if closure is Closure.NSR:
+        # the transverse field of each unit state adds its T11 and its D3
+        a, b, s12, w = _nsr_field(t, n_terminals)
+        k[:2] += a * s12[:2, None] + b * s12[1:, None]
+        k[2:] += w[2, :, None] * a + w[3, :, None] * b
     # q = -width * sum(poling * mean D3); mechanical columns carry the sensing
     # sign, voltage columns the charge per volt, so the electrical block is +Cq
-    q[:, 2:] *= -1.0
-    return SectionConstitutive(matrix=section.width * np.vstack((n, m, q)),
-                               n_terminals=len(q), closure=closure, width=section.width)
+    cq *= -1.0
+    k *= section.width
+    return SectionConstitutive(matrix=k, n_terminals=n_terminals, closure=closure,
+                               width=section.width)
 
 
 def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
@@ -436,19 +464,25 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
         raise LayupError(f"state has {len(state.voltages)} voltages, "
                          f"section has {section.n_terminals} terminals")
     t = section._table
-    # the one state in place of the unit states: every field has one column
-    u = np.array((state.eps, state.kappa) + state.voltages)
-    t = t._replace(eps=u[:1, None], kappa=u[1:2, None],
-                   e3=(t.e3 * u).sum(axis=1, keepdims=True))
-    s0, s1 = _s22(t, closure)
-    t11 = np.hstack(_t11(t, s0, s1))
+    eps, kappa = state.eps, state.kappa
+    # E3 of the one imposed state: g times the voltage of the layer's terminal
+    e3 = np.zeros(len(t.zc))
+    e3[t.members] = t.g * np.array(state.voltages)[t.collect]
+    if closure is Closure.ND:
+        s0 = s1 = 0.0
+    elif closure is Closure.NS:
+        s0, s1 = (t.e32 * e3 - t.q12 * eps) / t.q22, -t.q12 * kappa / t.q22
+    else:    # a + b*z cancels both resultants of the T22 that S22 = 0 leaves
+        n2, m2 = _integrals(t, t.q12 * eps - t.e32 * e3, t.q12 * kappa)
+        s0, s1 = np.linalg.solve(t.k, -np.array((n2, m2)))
+    t11 = np.column_stack((t.q11 * eps + t.q12 * s0 - t.e31 * e3, t.q11 * kappa + t.q12 * s1))
     if closure is Closure.NS:
         # T22 = 0 is the definition of the closure, not a computed value
         t22 = np.zeros_like(t11)
     else:
-        t22 = np.hstack((t.q12 * t.eps + t.q22 * s0 - t.e32 * t.e3,
-                         t.q12 * t.kappa + t.q22 * s1))
-    n2, m2 = _integrals(t, t22[:, :1], t22[:, 1:])
+        t22 = np.column_stack((t.q12 * eps + t.q22 * s0 - t.e32 * e3,
+                               t.q12 * kappa + t.q22 * s1))
+    n2, m2 = _integrals(t, t22[:, 0], t22[:, 1])
 
     # np.linspace's arithmetic without its overhead: start + i * step, with
     # the last point set to the layer's top face
@@ -460,7 +494,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
                                (t11[:, :1] + t11[:, 1:] * zq).ravel(),
                                (t22[:, :1] + t22[:, 1:] * zq).ravel()))
     return StressProfile(z_interfaces=z, t11_coefficients=t11, t22_coefficients=t22,
-                         samples=samples, n2=float(n2[0]), m2=float(m2[0]))
+                         samples=samples, n2=float(n2), m2=float(m2))
 
 
 @dataclass(frozen=True)
@@ -532,13 +566,21 @@ def _check_str(value, field):
         raise LayupError(f"field {field!r} must be a string, got {value!r}")
 
 
+def _metres(value, field) -> float:
+    """A length in mm, a finite JSON number (an int or a float, not a bool), in m."""
+    if type(value) not in (int, float) or not abs(value) < 1e308:
+        raise LayupError(f"field {field!r} must be a finite number, got {value!r}")
+    return value * 1e-3
+
+
 def build_section(layup: dict, materials: dict | None = None) -> Section:
     """Build a Section from a parsed layup description.
 
     Expected keys: width_mm, wiring ('parallel' | 'independent') and layers,
     a bottom-to-top list of {material, thickness_mm, poling, electroded}.
     Any other key is rejected, naming the nearest known key; material,
-    poling and wiring must be strings and electroded a bool.
+    poling and wiring must be strings, width_mm and thickness_mm numbers
+    (an int or a float, not a bool) and electroded a bool.
     Material names resolve against the optional materials mapping first and
     then against the built-in records, which are built only if a name is
     missing from the mapping.
@@ -547,11 +589,12 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     builtins = None
     _check_keys(layup, _LAYUP_KEYS, "layup")
     try:
-        width = float(layup["width_mm"]) * 1e-3
+        width = layup["width_mm"]
         wiring = layup.get("wiring", "parallel")
         entries = layup["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise LayupError(f"malformed layup description: {exc}") from exc
+    except KeyError as exc:
+        raise LayupError(f"malformed layup description: missing key {exc}") from exc
+    width = _metres(width, "width_mm")
     _check_str(wiring, "wiring")
     if not isinstance(entries, (list, tuple)):
         raise LayupError(f"layup field 'layers' must be a list, got {entries!r}")
@@ -564,11 +607,11 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
             _check_keys(entry, _LAYER_KEYS, "layer")
         try:
             name = entry["material"]
-            thickness = float(entry["thickness_mm"]) * 1e-3
+            thickness = _metres(entry["thickness_mm"], "thickness_mm")
             poling_key = entry.get("poling", "none")
             electroded = entry.get("electroded", False)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LayupError(f"malformed layer entry: {exc}") from exc
+        except KeyError as exc:
+            raise LayupError(f"malformed layer entry: missing key {exc}") from exc
         if type(name) is not str or type(poling_key) is not str:
             _check_str(name, "material")
             _check_str(poling_key, "poling")

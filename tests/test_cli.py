@@ -94,7 +94,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [("width_mm", "inf"), ("thickness_mm", "inf"),
                                             ("electroded", "false"), ("material", ["PZT-5H"]),
                                             ("poling", 1), ("wiring", ["parallel"]),
-                                            ("electrode", True), ("width", 17.8)])
+                                            ("electrode", True), ("width", 17.8),
+                                            ("thickness_mm", True), ("thickness_mm", "0.27"),
+                                            ("width_mm", "17.8"), ("width_mm", None),
+                                            pytest.param("thickness_mm", 10 ** 400,
+                                                         id="thickness_mm-huge-int")])
     def test_bad_layup_value_is_input_error(self, capsys, tmp_path, key, value):
         layup = json.loads(Path(SANDWICH).read_text())
         if key in ("width_mm", "wiring", "width"):
@@ -117,6 +121,18 @@ class TestExitCodes:
                                  "--materials", str(path))
         assert code == 2 and not out
         assert "input error" in err and "cE" in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (("stress", "--eps", "nan"), "strain"), (("stress", "--kappa=inf"), "curvature"),
+        (("stress", "--voltage=nanV"), "voltage"), (("beam-static", "--voltage=infV"), "voltage"),
+        (("beam-static", "--voltage=1e306kV"), "voltage"), (("beam-modal", "--length=inf"), "length"),
+        (("compare", "--reference-capacitance=nan"), "capacitance"),
+        (("compare", "--reference-capacitance=0"), "capacitance"),
+        (("compare", "--reference-capacitance=-2.86nF/mm"), "capacitance")])
+    def test_non_finite_or_non_positive_number_is_usage_error(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, argv[0], "--layup", SANDWICH, *argv[1:])
+        assert code == 2 and not out
+        assert f"bad {what}" in err
 
     @pytest.mark.parametrize("points", ["0", "1", "-1"])
     def test_too_few_points_is_input_error(self, capsys, points):

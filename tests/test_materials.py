@@ -302,6 +302,20 @@ class TestMaterialDb:
         with pytest.raises(MaterialError, match=message):
             load_material_db(path)
 
+    @pytest.mark.parametrize("density", [True, "2700.0", None, [2700.0]])
+    def test_density_must_be_a_number(self, tmp_path, density):
+        import json
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [self._al_entry(density_kg_m3=density)]}))
+        with pytest.raises(MaterialError, match="x: field 'density_kg_m3' must be a finite number"):
+            load_material_db(path)
+
+    def test_integer_density_accepted(self, tmp_path):
+        import json
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [self._al_entry(density_kg_m3=2700)]}))
+        assert load_material_db(path)["x"].density == 2700.0
+
     @pytest.mark.parametrize("doc", [{"materials": ["x"]}, {"materials": 3},
                                      {"materials": [{"name": ["x"], "form": "e"}]},
                                      {"materials": [{"name": "x", "form": ["e"]}]}])

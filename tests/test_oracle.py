@@ -12,7 +12,7 @@ from pzbeam import (
     reduce_section,
 )
 
-from conftest import random_section
+from conftest import random_plane_material, random_section
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -49,6 +49,26 @@ def test_thin_skin_far_from_midplane(pzt_plane, al_plane, closure):
     oracle = discretized_oracle(section, closure, 1).matrix
     scale = np.sqrt(np.abs(np.outer(np.diag(oracle), np.diag(oracle))))
     assert np.max(np.abs(analytic - oracle) / scale) <= 1e-13
+
+
+def deep_independent_stack(rng, n_layers):
+    """Random materials and thicknesses; every poled layer is electroded on its own terminal."""
+    layers = []
+    for i in range(n_layers):
+        piezo = i % 3 != 1
+        layers.append(Layer(random_plane_material(rng, piezo), 0.5e-3 * rng.uniform(0.05, 20.0),
+                            poling=int(rng.choice((-1, 1))) if piezo else 0, electroded=piezo))
+    return Section(layers=tuple(layers), width=rng.uniform(2e-3, 0.1), wiring="independent")
+
+
+@pytest.mark.parametrize("closure", CLOSURES)
+@pytest.mark.parametrize("n_layers, seed", [(40, 1), (80, 2), (120, 3)])
+def test_deep_independent_stack_matches_oracle(closure, n_layers, seed):
+    section = deep_independent_stack(np.random.default_rng(seed), n_layers)
+    analytic = reduce_section(section, closure).matrix
+    oracle = discretized_oracle(section, closure, 1).matrix
+    scale = np.sqrt(np.abs(np.outer(np.diag(oracle), np.diag(oracle))))
+    assert np.max(np.abs(analytic - oracle) / scale) <= 1e-12
 
 
 def test_oracle_multipliers_match_transverse_field(sandwich):

@@ -19,6 +19,7 @@ from pzbeam import (
     compare_closures,
     isotropic_elastic,
     condense_to_plane,
+    free_actuation_state,
     load_material_db,
     nsr_transverse_field,
     recover_stress_profile,
@@ -481,6 +482,42 @@ MIXED_LAYUP = {"width_mm": 12.0, "wiring": "independent", "layers": [
     {"material": "Al-6061", "thickness_mm": 0.4},
     {"material": "PZT-5H", "thickness_mm": 0.25, "poling": "-z", "electroded": True},
 ]}
+
+
+class TestGeneralizedState:
+    @pytest.mark.parametrize("kwargs", [dict(eps=np.nan), dict(kappa=-np.inf),
+                                        dict(voltages=(1.0, np.inf)), dict(voltages=(np.nan,))])
+    def test_non_finite_rejected(self, kwargs):
+        with pytest.raises(LayupError, match="generalized state must be finite"):
+            GeneralizedState(**kwargs)
+
+    def test_finite_accepted(self):
+        state = GeneralizedState(eps=1e-4, kappa=-0.2, voltages=(1, np.float64(2.5)))
+        assert state.voltages == (1.0, 2.5)
+
+
+class TestExactZeros:
+    """Zeros by mirror symmetry or by wiring stay exact zeros.
+
+    Elementwise products summed with .sum() cancel a mirrored pair exactly;
+    a BLAS dot (@, np.dot, einsum) fuses multiply and add and leaves the
+    rounding error of one product behind.
+    """
+
+    @pytest.mark.parametrize("closure", ["nd", "ns", "nsr"])
+    def test_bimorph_decouples_exactly(self, bimorph, closure):
+        k = reduce_section(bimorph, closure)
+        assert k.coupling_stiffness == 0.0
+        assert k.gm[0] == 0.0
+        assert free_actuation_state(k, [100.0]).eps == 0.0
+        assert k.gk[0] != 0.0
+
+    @pytest.mark.parametrize("closure", ["nd", "ns"])
+    def test_independent_terminals_decouple_exactly(self, closure):
+        cq = reduce_section(build_section(MIXED_LAYUP), closure).cq
+        assert cq.shape == (3, 3)
+        assert np.all(cq[~np.eye(3, dtype=bool)] == 0.0)
+        assert np.all(np.diag(cq) > 0.0)
 
 
 class TestSharedTable:
