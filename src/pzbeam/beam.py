@@ -52,16 +52,11 @@ def make_beam(section: Section, closure, length: float, boundary: str = "cantile
                 length=length, boundary=boundary)
 
 
-def _check_voltages(k: SectionConstitutive, voltages) -> np.ndarray:
+def free_actuation_state(k: SectionConstitutive, voltages) -> GeneralizedState:
+    """Force- and moment-free response: solve Kmm [eps; kappa] = -Kme V."""
     v = np.atleast_1d(np.asarray(voltages, dtype=float))
     if v.shape != (k.n_terminals,):
         raise BeamError(f"expected {k.n_terminals} terminal voltages, got {v.shape[0]}")
-    return v
-
-
-def free_actuation_state(k: SectionConstitutive, voltages) -> GeneralizedState:
-    """Force- and moment-free response: solve Kmm [eps; kappa] = -Kme V."""
-    v = _check_voltages(k, voltages)
     try:
         x = np.linalg.solve(k.kmm, -k.kme @ v)
     except np.linalg.LinAlgError as exc:
@@ -84,14 +79,11 @@ def sensor_charge(beam: Beam, imposed: GeneralizedState) -> np.ndarray:
 
 
 def _bending_stiffness(k: SectionConstitutive, circuit: str) -> float:
-    if circuit == "short":
-        kmm = k.kmm
-    elif circuit == "open":
-        kmm = k.kmm
-        if k.n_terminals:
-            kmm = kmm + k.kme @ np.linalg.solve(k.cq, k.kme.T)
-    else:
+    if circuit not in ("short", "open"):
         raise BeamError(f"unknown circuit {circuit!r}, expected 'short' or 'open'")
+    kmm = k.kmm
+    if circuit == "open" and k.n_terminals:
+        kmm = kmm + k.kme @ np.linalg.solve(k.cq, k.kme.T)
     return float(kmm[1, 1] - kmm[0, 1] * kmm[1, 0] / kmm[0, 0])
 
 
@@ -116,12 +108,12 @@ def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
 def coupling_factor(beam: Beam, mode: int) -> float:
     """Modal electromechanical coupling k^2 = (f_open^2 - f_short^2) / f_short^2.
 
-    With a uniform section the ratio D_open / D_short is shared by all
-    modes, so k^2 is mode-independent here; the mode index is validated to
-    keep the per-mode signature.
+    With a uniform section the ratio f_open^2 / f_short^2 = D_open / D_short
+    is shared by all modes, so k^2 = D_open / D_short - 1 is mode-independent
+    here; the mode index is validated to keep the per-mode signature. A
+    section with no terminal gives exactly 0.
     """
     if mode < 1:
         raise BeamError("mode index starts at 1")
-    f_short = modal_frequencies(beam, "short", mode)[mode - 1]
-    f_open = modal_frequencies(beam, "open", mode)[mode - 1]
-    return float((f_open ** 2 - f_short ** 2) / f_short ** 2)
+    return _bending_stiffness(beam.constitutive, "open") \
+        / _bending_stiffness(beam.constitutive, "short") - 1.0

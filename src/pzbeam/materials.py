@@ -52,6 +52,29 @@ def _unknown_keys_message(what: str, keys, known) -> str:
     return f"unknown {what} key{'s' if len(parts) > 1 else ''} {', '.join(parts)}"
 
 
+# JSON field checks shared by the material database and the layup reader: each
+# raises the caller's error type, its message led by the caller's prefix
+
+def _check_object(entry, what, error, known=None, prefix=""):
+    """Reject a non-object entry or, when known is given, one with a key not in known."""
+    if not isinstance(entry, dict):
+        raise error(f"{prefix}{what} must be a JSON object, got {entry!r}")
+    if known is not None and entry.keys() - set(known):
+        raise error(prefix + _unknown_keys_message(what, entry, known))
+
+
+def _check_str(value, field, error, prefix=""):
+    if type(value) is not str:
+        raise error(f"{prefix}field {field!r} must be a string, got {value!r}")
+
+
+def _check_number(value, field, error, prefix=""):
+    """A finite JSON number: an int or a float, not a bool (an int beyond float range fails)."""
+    if type(value) not in (int, float) or not abs(value) < 1e308:
+        raise error(f"{prefix}field {field!r} must be a finite number, got {value!r}")
+    return value
+
+
 def _as_matrix(value, shape, what):
     m = np.array(value, dtype=float)
     if m.shape != shape:
@@ -65,12 +88,6 @@ def _as_matrix(value, shape, what):
 def _check_density(name, density):
     if not 0.0 < density < math.inf:
         raise MaterialError(f"{name}: density must be positive and finite")
-
-
-def _check_symmetric(m, what, rtol=1e-8):
-    scale = np.max(np.abs(m))
-    if scale > 0 and np.max(np.abs(m - m.T)) > rtol * scale:
-        raise MaterialError(f"{what} is not symmetric")
 
 
 def _is_positive_definite(m) -> bool:
@@ -87,9 +104,26 @@ def _is_positive_definite(m) -> bool:
     return True
 
 
-def _check_positive_definite(m, what):
+def _check_spd(m, what, rtol=1e-8):
+    """Reject a finite matrix that is not symmetric (to rtol) or not positive definite."""
+    scale = np.max(np.abs(m))
+    if scale > 0 and np.max(np.abs(m - m.T)) > rtol * scale:
+        raise MaterialError(f"{what} is not symmetric")
     if not _is_positive_definite(m):
         raise MaterialError(f"{what} is not positive definite")
+
+
+def _check_3d(record, fields):
+    """Store a 3D record's matrices read-only, then check them and its density.
+
+    fields: the stiffness or compliance, the piezoelectric, the permittivity.
+    """
+    for field, shape in zip(fields, ((6, 6), (3, 6), (3, 3))):
+        matrix = _as_matrix(getattr(record, field), shape, f"{record.name}: {field}")
+        object.__setattr__(record, field, matrix)
+    for field in (fields[0], fields[2]):
+        _check_spd(getattr(record, field), f"{record.name}: {field}")
+    _check_density(record.name, record.density)
 
 
 @dataclass(frozen=True)
@@ -104,14 +138,7 @@ class Material3D:
     provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "cE", _as_matrix(self.cE, (6, 6), f"{self.name}: cE"))
-        object.__setattr__(self, "e", _as_matrix(self.e, (3, 6), f"{self.name}: e"))
-        object.__setattr__(self, "epsS", _as_matrix(self.epsS, (3, 3), f"{self.name}: epsS"))
-        _check_symmetric(self.cE, f"{self.name}: cE")
-        _check_positive_definite(self.cE, f"{self.name}: cE")
-        _check_symmetric(self.epsS, f"{self.name}: epsS")
-        _check_positive_definite(self.epsS, f"{self.name}: epsS")
-        _check_density(self.name, self.density)
+        _check_3d(self, ("cE", "e", "epsS"))
 
     @property
     def is_elastic(self) -> bool:
@@ -135,14 +162,7 @@ class MaterialDForm:
     provenance: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "sE", _as_matrix(self.sE, (6, 6), f"{self.name}: sE"))
-        object.__setattr__(self, "d", _as_matrix(self.d, (3, 6), f"{self.name}: d"))
-        object.__setattr__(self, "epsT", _as_matrix(self.epsT, (3, 3), f"{self.name}: epsT"))
-        _check_symmetric(self.sE, f"{self.name}: sE")
-        _check_positive_definite(self.sE, f"{self.name}: sE")
-        _check_symmetric(self.epsT, f"{self.name}: epsT")
-        _check_positive_definite(self.epsT, f"{self.name}: epsT")
-        _check_density(self.name, self.density)
+        _check_3d(self, ("sE", "d", "epsT"))
 
     @cached_property
     def plane(self) -> PlaneMaterial:
@@ -174,7 +194,7 @@ class PlaneMaterial:
             if not math.isfinite(getattr(self, field)):
                 raise MaterialError(f"{self.name}: {field} must be finite")
         q = np.array([[self.Q11, self.Q12], [self.Q12, self.Q22]])
-        _check_positive_definite(q, f"{self.name}: in-plane stiffness")
+        _check_spd(q, f"{self.name}: in-plane stiffness")
         if not self.eps33 > 0.0:
             raise MaterialError(f"{self.name}: eps33 must be positive")
         _check_density(self.name, self.density)
@@ -303,33 +323,27 @@ _RECORD_KEYS = ("name", "form", "density_kg_m3", "provenance")
 
 
 def _record_from_json(entry):
-    if not isinstance(entry, dict):
-        raise MaterialError(f"malformed database: entry must be a JSON object, got {entry!r}")
+    _check_object(entry, "entry", MaterialError, prefix="malformed database: ")
     name = entry.get("name")
-    if type(name) is not str:
-        raise MaterialError(f"malformed database: entry field 'name' must be a string, "
-                            f"got {name!r}")
+    _check_str(name, "name", MaterialError, prefix="malformed database: entry ")
     form = entry.get("form")
     if type(form) is not str or form not in _FORMS:
         raise MaterialError(f"invalid material {name}: unknown form {form!r}")
     record_type, matrix_keys = _FORMS[form]
-    known = _RECORD_KEYS + matrix_keys
-    if entry.keys() - set(known):
-        raise MaterialError(f"invalid material {name}: "
-                            f"{_unknown_keys_message(f'{form}-form record', entry, known)}")
+    invalid = f"invalid material {name}: "
+    _check_object(entry, f"{form}-form record", MaterialError, _RECORD_KEYS + matrix_keys,
+                  prefix=invalid)
     try:
         matrices = [entry[key] for key in matrix_keys]
         density = entry["density_kg_m3"]
     except KeyError as exc:
         raise MaterialError(f"malformed database: entry {name!r} missing key {exc}") from exc
-    if type(density) not in (int, float):
-        raise MaterialError(f"invalid material {name}: field 'density_kg_m3' must be a "
-                            f"finite number, got {density!r}")
+    _check_number(density, "density_kg_m3", MaterialError, prefix=invalid)
     try:
         return record_type(name, *matrices, density=float(density),
                            provenance=entry.get("provenance", ""))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MaterialError(f"invalid material {name}: {exc}") from exc
+        raise MaterialError(f"{invalid}{exc}") from exc
 
 
 def load_material_db(path=None) -> dict:

@@ -55,14 +55,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .materials import PlaneMaterial, _is_positive_definite, _unknown_keys_message, as_plane, \
-    builtin_materials
+from .materials import PlaneMaterial, _check_number, _check_object, _check_str, \
+    _is_positive_definite, as_plane, builtin_materials
 
 
 class LayupError(ValueError):
@@ -150,10 +150,7 @@ class Section:
 
     @cached_property
     def z_interfaces(self) -> tuple:
-        z = [-self.thickness / 2.0]
-        for l in self.layers:
-            z.append(z[-1] + l.thickness)
-        return tuple(z)
+        return tuple(accumulate((l.thickness for l in self.layers), initial=-self.thickness / 2.0))
 
     @cached_property
     def terminals(self) -> tuple:
@@ -553,26 +550,6 @@ _LAYUP_KEYS = frozenset(("width_mm", "wiring", "layers"))
 _LAYER_KEYS = frozenset(("material", "thickness_mm", "poling", "electroded"))
 
 
-def _check_keys(entry, known, what):
-    """Reject a non-object entry, or one with a key not in known."""
-    if not isinstance(entry, dict):
-        raise LayupError(f"{what} must be a JSON object, got {entry!r}")
-    if entry.keys() - known:
-        raise LayupError(_unknown_keys_message(what, entry, known))
-
-
-def _check_str(value, field):
-    if type(value) is not str:
-        raise LayupError(f"field {field!r} must be a string, got {value!r}")
-
-
-def _metres(value, field) -> float:
-    """A length in mm, a finite JSON number (an int or a float, not a bool), in m."""
-    if type(value) not in (int, float) or not abs(value) < 1e308:
-        raise LayupError(f"field {field!r} must be a finite number, got {value!r}")
-    return value * 1e-3
-
-
 def build_section(layup: dict, materials: dict | None = None) -> Section:
     """Build a Section from a parsed layup description.
 
@@ -587,15 +564,15 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     """
     materials = materials or {}
     builtins = None
-    _check_keys(layup, _LAYUP_KEYS, "layup")
+    _check_object(layup, "layup", LayupError, _LAYUP_KEYS)
     try:
         width = layup["width_mm"]
         wiring = layup.get("wiring", "parallel")
         entries = layup["layers"]
     except KeyError as exc:
         raise LayupError(f"malformed layup description: missing key {exc}") from exc
-    width = _metres(width, "width_mm")
-    _check_str(wiring, "wiring")
+    width = _check_number(width, "width_mm", LayupError) * 1e-3
+    _check_str(wiring, "wiring", LayupError)
     if not isinstance(entries, (list, tuple)):
         raise LayupError(f"layup field 'layers' must be a list, got {entries!r}")
     if not entries:
@@ -604,17 +581,17 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     for entry in entries:
         # one subset test per layer on the accepted path
         if type(entry) is not dict or not _LAYER_KEYS.issuperset(entry):
-            _check_keys(entry, _LAYER_KEYS, "layer")
+            _check_object(entry, "layer", LayupError, _LAYER_KEYS)
         try:
             name = entry["material"]
-            thickness = _metres(entry["thickness_mm"], "thickness_mm")
+            thickness = _check_number(entry["thickness_mm"], "thickness_mm", LayupError) * 1e-3
             poling_key = entry.get("poling", "none")
             electroded = entry.get("electroded", False)
         except KeyError as exc:
             raise LayupError(f"malformed layer entry: missing key {exc}") from exc
         if type(name) is not str or type(poling_key) is not str:
-            _check_str(name, "material")
-            _check_str(poling_key, "poling")
+            _check_str(name, "material", LayupError)
+            _check_str(poling_key, "poling", LayupError)
         if not isinstance(electroded, bool):
             raise LayupError(f"layer field 'electroded' must be true or false, "
                              f"got {electroded!r}")

@@ -186,6 +186,17 @@ class TestCouplingFactor:
         long = coupling_factor(make_beam(sandwich, "nsr", 0.4), 1)
         assert short == pytest.approx(long, rel=1e-12)
 
+    def test_no_terminals_is_exactly_zero(self, al_plane):
+        section = Section(layers=(Layer(al_plane, 1e-3),), width=0.01)
+        for boundary in ("cantilever", "simply-supported"):
+            assert coupling_factor(make_beam(section, "nsr", 0.1, boundary), 1) == 0.0
+
+    def test_independent_of_length_and_boundary(self, sandwich):
+        # k^2 = D_open / D_short - 1 reads only the section
+        k2 = {coupling_factor(make_beam(sandwich, "nsr", length, boundary), 1)
+              for length in (0.05, 0.4) for boundary in ("cantilever", "simply-supported")}
+        assert len(k2) == 1
+
     def test_nonnegative_and_mode_validated(self, sandwich):
         beam = make_beam(sandwich, "nsr", 0.1)
         assert coupling_factor(beam, 3) >= 0.0

@@ -1,5 +1,7 @@
 """CLI parsing, reports, determinism and exit codes."""
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -12,6 +14,10 @@ from pzbeam.cli import main, parse_args
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SANDWICH = str(DOCS / "sandwich.json")
+# table and CSV stdout of each subcommand on the shipped layups, with and without
+# --materials; paths in argv are relative to the repository root
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_table_csv.json").read_text())
+COMMANDS = ("reduce", "compare", "stress", "capacitance", "beam-static", "beam-modal")
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +52,13 @@ class TestParseArgs:
         assert cfg.voltages == [1500.0]
         bare = parse_args(["beam-modal", "--layup", "x", "--length", "0.3"])
         assert bare.length == pytest.approx(0.3)
+
+    def test_negative_voltage_needs_equals_sign(self, capsys):
+        assert parse_args(["stress", "--layup", "x", "--voltage=-50V"]).voltages == [-50.0]
+        # argparse reads "-50V" after a space as an option, not as the value
+        code, out, err = run_cli(capsys, "stress", "--layup", SANDWICH, "--voltage", "-50V")
+        assert code == 2 and not out
+        assert "expected one argument" in err
 
 
 class TestExitCodes:
@@ -229,3 +242,43 @@ class TestReports:
         code, out, _ = run_cli(capsys, "reduce", "--layup", SANDWICH,
                                "--materials", str(db))
         assert code == 0
+
+
+class TestReportShape:
+    @pytest.mark.filterwarnings("ignore:material database")
+    @pytest.mark.parametrize("run", GOLDEN, ids=lambda run: "-".join(
+        [run["argv"][0], Path(run["argv"][2]).stem, run["argv"][4]]
+        + (["db"] if "--materials" in run["argv"] else [])))
+    def test_golden_stdout(self, capsys, monkeypatch, run):
+        monkeypatch.chdir(DOCS.parent)
+        code, out, _ = run_cli(capsys, *run["argv"])
+        assert code == 0
+        assert out == run["stdout"]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_format(self, capsys, command, fmt):
+        extra = ["--reference-capacitance=2.86nF/mm"] if command == "compare" else []
+        code, out, _ = run_cli(capsys, command, "--layup", SANDWICH, "--output", fmt, *extra)
+        assert code == 0 and out.endswith("\n")
+        if fmt == "json":
+            doc = json.loads(out)
+            assert list(doc)[:2] == ["schema_version", "command"]
+            assert doc["command"] == command
+        elif fmt == "csv":
+            # a label holding a comma is quoted, so every row keeps the width
+            widths = {len(row) for row in csv.reader(io.StringIO(out))}
+            assert len(widths) == 1
+            if command in ("reduce", "capacitance", "beam-static"):
+                assert widths == {2}
+
+    def test_beam_modal_without_terminals_prints_zero_k2(self, capsys, tmp_path):
+        layup = tmp_path / "al.json"
+        layup.write_text(json.dumps({"width_mm": 10.0, "layers": [
+            {"material": "Al-6061", "thickness_mm": 1.0}]}))
+        code, out, _ = run_cli(capsys, "beam-modal", "--layup", str(layup), "--modes", "2")
+        assert code == 0
+        assert [line.split()[-1] for line in out.splitlines()] == ["k^2", "0", "0"]
+        code, out, _ = run_cli(capsys, "beam-modal", "--layup", str(layup), "--output", "json")
+        assert code == 0
+        assert json.loads(out)["coupling_factor_k2"] == 0.0
