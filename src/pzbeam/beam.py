@@ -17,9 +17,6 @@ import numpy as np
 
 from .section import GeneralizedState, Section, SectionConstitutive, reduce_section
 
-#: Boundary eigenvalues lambda_n of the bending mode shapes.
-CANTILEVER_ROOTS = (1.87510407, 4.69409113, 7.85475744)
-
 BOUNDARIES = ("cantilever", "simply-supported")
 
 
@@ -88,18 +85,22 @@ def _bending_stiffness(k: SectionConstitutive, circuit: str) -> float:
 
 
 def _boundary_eigenvalues(boundary: str, n_modes: int) -> np.ndarray:
+    """lambda_n = n pi simply supported; the roots of cos(l) cosh(l) = -1 for a cantilever."""
     if boundary == "simply-supported":
         return np.pi * np.arange(1, n_modes + 1)
-    lams = list(CANTILEVER_ROOTS[:n_modes])
-    # asymptotic values for the higher cantilever modes
-    lams += [np.pi * (n - 0.5) for n in range(len(lams) + 1, n_modes + 1)]
-    return np.array(lams)
+    # Newton on cos(l) + sech(l) = 0 from pi (n - 1/2): exact in 4 steps; exp(-l) never overflows
+    lams = np.pi * (np.arange(n_modes) + 0.5)
+    for _ in range(5):
+        x = np.exp(-2.0 * lams)
+        sech, tanh = 2.0 * np.exp(-lams) / (1.0 + x), (1.0 - x) / (1.0 + x)
+        lams = lams + (np.cos(lams) + sech) / (np.sin(lams) + sech * tanh)
+    return lams
 
 
 def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
     """Bending natural frequencies f_n = (lambda_n^2 / 2 pi) sqrt(D_eff / m L^4), Hz."""
-    if n_modes < 1:
-        raise BeamError("at least one mode is required")
+    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+        raise BeamError(f"mode count must be an integer of at least 1, got {n_modes!r}")
     d_eff = _bending_stiffness(beam.constitutive, circuit)
     lams = _boundary_eigenvalues(beam.boundary, n_modes)
     return lams ** 2 / (2.0 * np.pi) * np.sqrt(d_eff / (beam.mass_per_length * beam.length ** 4))

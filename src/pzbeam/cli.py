@@ -16,15 +16,15 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .beam import BeamError, cantilever_tip_deflection, coupling_factor, \
+from .beam import BOUNDARIES, BeamError, cantilever_tip_deflection, coupling_factor, \
     free_actuation_state, make_beam, modal_frequencies
 from .materials import MaterialError, load_material_db
-from .section import GeneralizedState, LayupError, capacitance_per_length, compare_closures, \
-    load_layup, recover_stress_profile, reduce_section
+from .section import Closure, GeneralizedState, LayupError, capacitance_per_length, \
+    compare_closures, load_layup, recover_stress_profile, reduce_section
 
 SCHEMA_VERSION = 1
 
@@ -67,7 +67,7 @@ def parse_args(argv=None) -> argparse.Namespace:
                        help="optional material database JSON file")
         p.add_argument("--output", choices=("table", "json", "csv"), default="table")
         if closure:
-            p.add_argument("--model", dest="closure", choices=("nd", "ns", "nsr"),
+            p.add_argument("--model", dest="closure", choices=[c.value for c in Closure],
                            default="nsr", help="transverse closure model")
         return p
 
@@ -80,8 +80,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         p = command(name, help)
         p.add_argument("--length", type=_quantity(_LENGTH_UNITS, "length"), default=0.1,
                        help="beam length (e.g. 100mm)")
-        p.add_argument("--bc", dest="boundary", choices=("cantilever", "simply-supported"),
-                       default="cantilever")
+        p.add_argument("--bc", dest="boundary", choices=BOUNDARIES, default="cantilever")
         return p
 
     command("reduce", "assemble the coupled constitutive matrix")
@@ -112,8 +111,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 # ---------------------------------------------------------------------------
 # reports: each subcommand builds one Report, one renderer per format prints it
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """What a subcommand prints, in every output format.
 
     rows start with the header row, if the report has one; a float cell

@@ -263,8 +263,7 @@ class SectionConstitutive:
         return self.matrix[1, 2:]
 
 
-@dataclass(frozen=True)
-class TransverseField:
+class TransverseField(NamedTuple):
     """Section-wide transverse strain S22(z) = a + b*z of the NSR closure.
 
     coefficients[j] = (a, b) for the unit generalized state j, ordered
@@ -279,8 +278,7 @@ class TransverseField:
         return float(a), float(b)
 
 
-@dataclass(frozen=True)
-class StressProfile:
+class StressProfile(NamedTuple):
     """Layerwise-linear T11(z), T22(z) with sampled grid and T22 resultants.
 
     t11_coefficients[k] and t22_coefficients[k] hold (constant, slope) of
@@ -386,6 +384,14 @@ def nsr_transverse_field(section: Section) -> TransverseField:
     return TransverseField(coefficients=np.column_stack((a, b)))
 
 
+def _closure_columns(t: _LayerTable, closure: Closure) -> tuple:
+    """Q11, e31 and eps33 under the closure; NS condenses them by T22 = 0 layer by layer."""
+    if closure is not Closure.NS:
+        return t.q11, t.e31, t.eps33
+    return (t.q11 - t.q12 ** 2 / t.q22, t.e31 - t.q12 * t.e32 / t.q22,
+            t.eps33 + t.e32 ** 2 / t.q22)
+
+
 def reduce_section(section: Section, closure) -> SectionConstitutive:
     """Assemble the coupled constitutive matrix under the given closure.
 
@@ -398,12 +404,7 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     closure = Closure.coerce(closure)
     t = section._table
     n_terminals = section.n_terminals
-    q11, e31, eps33 = t.q11, t.e31, t.eps33
-    if closure is Closure.NS:
-        # T22 = 0 layer by layer: ND on the plane-stress-condensed columns
-        q11 = q11 - t.q12 ** 2 / t.q22
-        e31 = e31 - t.q12 * t.e32 / t.q22
-        eps33 = eps33 + t.e32 ** 2 / t.q22
+    q11, e31, eps33 = _closure_columns(t, closure)
     s0, s1, s2 = (q11 * t.moments).sum(axis=1)
     v = _scatter(t, e31, n_terminals)
     k = np.zeros((2 + n_terminals, 2 + n_terminals))
@@ -465,14 +466,13 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     # E3 of the one imposed state: g times the voltage of the layer's terminal
     e3 = np.zeros(len(t.zc))
     e3[t.members] = t.g * np.array(state.voltages)[t.collect]
-    if closure is Closure.ND:
-        s0 = s1 = 0.0
-    elif closure is Closure.NS:
-        s0, s1 = (t.e32 * e3 - t.q12 * eps) / t.q22, -t.q12 * kappa / t.q22
-    else:    # a + b*z cancels both resultants of the T22 that S22 = 0 leaves
+    q11, e31, _ = _closure_columns(t, closure)
+    s0 = s1 = 0.0
+    if closure is Closure.NSR:
+        # a + b*z cancels both resultants of the T22 that S22 = 0 leaves
         n2, m2 = _integrals(t, t.q12 * eps - t.e32 * e3, t.q12 * kappa)
         s0, s1 = np.linalg.solve(t.k, -np.array((n2, m2)))
-    t11 = np.column_stack((t.q11 * eps + t.q12 * s0 - t.e31 * e3, t.q11 * kappa + t.q12 * s1))
+    t11 = np.column_stack((q11 * eps + t.q12 * s0 - e31 * e3, q11 * kappa + t.q12 * s1))
     if closure is Closure.NS:
         # T22 = 0 is the definition of the closure, not a computed value
         t22 = np.zeros_like(t11)
@@ -494,8 +494,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
                          samples=samples, n2=float(n2), m2=float(m2))
 
 
-@dataclass(frozen=True)
-class ClosureComparison:
+class ClosureComparison(NamedTuple):
     """One closure's headline quantities for the comparison table."""
 
     closure: Closure
@@ -507,27 +506,28 @@ class ClosureComparison:
     deviation_pct: float | None = None  # (model - reference) / reference * 100
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
+class ComparisonTable(NamedTuple):
     rows: tuple
     reference_capacitance: float | None = None
 
 
-def compare_closures(section: Section, reference_capacitance: float | None = None,
-                     terminal: int = 0) -> ComparisonTable:
+def compare_closures(section: Section,
+                     reference_capacitance: float | None = None) -> ComparisonTable:
     """Evaluate all three closures on one section.
 
     The capacitance column holds the blocked (constitutive) capacitance of
-    the given terminal; the percent deviation against an optional reference
-    uses the declared convention (model - reference) / reference * 100.
+    terminal 0, or 0 with no terminal, which takes no reference; the percent
+    deviation from a reference is (model - reference) / reference * 100.
     """
+    if reference_capacitance is not None and not section.n_terminals:
+        raise LayupError("a reference capacitance needs a terminal (section has none)")
     rows = []
-    for closure in (Closure.ND, Closure.NS, Closure.NSR):
+    for closure in Closure:
         k = reduce_section(section, closure)
         if k.n_terminals:
-            cap = capacitance_per_length(k, "blocked", terminal)
-            cap_free = capacitance_per_length(k, "free", terminal)
-            gk = float(k.gk[terminal])
+            cap = capacitance_per_length(k, "blocked")
+            cap_free = capacitance_per_length(k, "free")
+            gk = float(k.gk[0])
         else:
             cap = cap_free = gk = 0.0
         a = k.extension_stiffness

@@ -1,5 +1,7 @@
 """Beam-level statics, modal analysis and coupling factors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from pzbeam import (
     reduce_section,
     sensor_charge,
 )
+from pzbeam.beam import _boundary_eigenvalues
 from pzbeam.section import PlaneMaterial
 
 DIELECTRIC = PlaneMaterial(name="dielectric", Q11=60e9, Q12=18e9, Q22=60e9,
@@ -136,11 +139,11 @@ class TestModal:
         beam = make_beam(sandwich, "nsr", 0.1)
         k = beam.constitutive
         d_eff = k.bending_stiffness - k.coupling_stiffness ** 2 / k.extension_stiffness
-        expected = 1.87510407 ** 2 / (2 * np.pi) * np.sqrt(
+        expected = 1.8751040687119611 ** 2 / (2 * np.pi) * np.sqrt(
             d_eff / (beam.mass_per_length * 0.1 ** 4))
         got = modal_frequencies(beam, "short", 1)[0]
         assert got == pytest.approx(expected, rel=1e-12)
-        assert got == pytest.approx(169.7018285271727, rel=1e-10)
+        assert got == pytest.approx(169.70182829403092, rel=1e-10)
         assert beam.mass_per_length == pytest.approx(0.1710936, rel=1e-12)
 
     def test_inverse_length_squared_scaling(self, sandwich):
@@ -153,12 +156,23 @@ class TestModal:
         f = modal_frequencies(beam, "short", 3)
         np.testing.assert_allclose(f / f[0], [1.0, 4.0, 9.0], rtol=1e-12)
 
-    def test_cantilever_asymptotic_roots(self, sandwich):
+    def test_cantilever_exact_roots(self, sandwich):
+        # the published roots of cos(l) cosh(l) = -1
+        published = [1.8751040687119611, 4.694091132974175, 7.854757438237613,
+                     10.995540734875467, 14.13716839104647]
+        np.testing.assert_allclose(_boundary_eigenvalues("cantilever", 5), published,
+                                   rtol=1e-15, atol=0.0)
         beam = make_beam(sandwich, "nsr", 0.1)
-        f = modal_frequencies(beam, "short", 5)
-        base = f[0] / 1.87510407 ** 2
-        assert f[3] == pytest.approx(base * (np.pi * 3.5) ** 2, rel=1e-9)
-        assert f[4] == pytest.approx(base * (np.pi * 4.5) ** 2, rel=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = modal_frequencies(beam, "short", 2000)
+        assert np.all(np.isfinite(f)) and np.all(np.diff(f) > 0.0)
+
+    @pytest.mark.parametrize("boundary", ["cantilever", "simply-supported"])
+    def test_fractional_mode_count_rejected(self, sandwich, boundary):
+        beam = make_beam(sandwich, "nsr", 0.1, boundary=boundary)
+        with pytest.raises(BeamError, match="mode count"):
+            modal_frequencies(beam, "short", 2.5)
 
     def test_validation(self, sandwich):
         beam = make_beam(sandwich, "nsr", 0.1)

@@ -94,6 +94,15 @@ class TestExitCodes:
         assert code == 1
         assert "computation error" in err
 
+    def test_reference_without_terminal_is_input_error(self, capsys, tmp_path):
+        layup = tmp_path / "al.json"
+        layup.write_text(json.dumps({"width_mm": 10.0, "layers": [
+            {"material": "Al-6061", "thickness_mm": 1.0}]}))
+        code, out, err = run_cli(capsys, "compare", "--layup", str(layup),
+                                 "--reference-capacitance=2.86nF/mm")
+        assert code == 2 and not out
+        assert "input error" in err and "reference capacitance" in err
+
     def test_zero_modes_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--modes=0")
         assert code == 2
@@ -221,8 +230,14 @@ class TestReports:
         _, out, _ = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--length", "100mm",
                             "--modes", "2", "--circuit", "short", "--output", "json")
         doc = json.loads(out)
-        assert doc["frequencies_Hz"][0] == pytest.approx(169.7018285271727, rel=1e-10)
+        assert doc["frequencies_Hz"][0] == pytest.approx(169.70182829403092, rel=1e-10)
         assert doc["coupling_factor_k2"] == pytest.approx(0.12972668315608715, rel=1e-9)
+
+    def test_beam_modal_exact_fourth_mode(self, capsys):
+        # the pi*(n - 1/2) asymptote gives 5835.4131
+        code, out, _ = run_cli(capsys, "beam-modal", "--layup", SANDWICH)
+        assert code == 0
+        assert out.splitlines()[4].split()[:2] == ["4", "5835.3774"]
 
     def test_json_units_in_field_names(self, capsys):
         for args in (["reduce", "--layup", SANDWICH, "--output", "json"],

@@ -426,6 +426,11 @@ class TestCompareClosures:
         # the published comparison arithmetic under this convention
         assert (2.81 - 2.86) / 2.86 * 100.0 == pytest.approx(-1.7483, abs=1e-4)
 
+    def test_reference_without_terminal_is_error(self):
+        s = Section(layers=(Layer(AL, 1e-3),), width=0.01)
+        with pytest.raises(LayupError, match="reference capacitance"):
+            compare_closures(s, reference_capacitance=2.86e-6)
+
     def test_no_reference_no_deviation(self, sandwich):
         assert all(row.deviation_pct is None for row in compare_closures(sandwich).rows)
 
