@@ -65,7 +65,10 @@ def cantilever_tip_deflection(beam: Beam, voltages) -> float:
     """Tip deflection kappa L^2 / 2 under the uniform induced curvature."""
     if beam.boundary != "cantilever":
         raise BeamError("tip deflection is defined for cantilever boundary")
-    state = free_actuation_state(beam.constitutive, voltages)
+    return _tip_deflection(beam, free_actuation_state(beam.constitutive, voltages))
+
+
+def _tip_deflection(beam: Beam, state: GeneralizedState) -> float:
     return state.kappa * beam.length ** 2 / 2.0
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beam import BOUNDARIES, BeamError, cantilever_tip_deflection, coupling_factor, \
+from .beam import BOUNDARIES, BeamError, _tip_deflection, coupling_factor, \
     free_actuation_state, make_beam, modal_frequencies
 from .materials import MaterialError, load_material_db
 from .section import Closure, GeneralizedState, LayupError, capacitance_per_length, \
@@ -256,7 +256,7 @@ def _beam_static(section, args) -> Report:
     rows = [("eps", state.eps), ("kappa [1/m]", state.kappa)]
     tip = None
     if args.boundary == "cantilever":
-        tip = cantilever_tip_deflection(beam, voltages)
+        tip = _tip_deflection(beam, state)
         rows.append(("tip deflection [m]", tip))
     return Report(rows, csv_rows=[(a.replace(" ", "_"), b) for a, b in rows], payload={
         "closure": beam.constitutive.closure.value,

@@ -18,7 +18,9 @@ Every matrix and scalar of a record must be finite; a NaN or infinite
 constant is rejected, naming the field, before the symmetry and positive
 definiteness tests run. Positive definiteness is tested by a Cholesky
 factorization of the symmetric part 0.5 * (m + m.T), which fails exactly
-when some eigenvalue is not positive (up to round-off). numpy factors a
+when some eigenvalue is not positive (up to round-off). An exactly diagonal
+matrix is tested by diagonal > 0 instead: its pivots 0.5 * (d + d) have the
+sign of d, for -0.0, subnormals and an overflow to inf too. numpy factors a
 NaN or infinite matrix without an error, so the test assumes finite input.
 """
 
@@ -94,9 +96,13 @@ def _is_positive_definite(m) -> bool:
     """Whether the symmetric part of a finite square matrix is positive definite.
 
     np.linalg.cholesky reads only the lower triangle, so the symmetric part
-    is factored, not m itself. A NaN or infinite m factors without an error:
-    the caller checks finiteness first.
+    is factored, not m itself, unless m is exactly diagonal: then diagonal > 0
+    is the same test, in O(n^2). A NaN or infinite m factors without an
+    error: the caller checks finiteness first.
     """
+    d = m.diagonal()
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        return bool((d > 0).all())
     try:
         np.linalg.cholesky(0.5 * (m + m.T))
     except np.linalg.LinAlgError:

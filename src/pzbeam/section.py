@@ -37,15 +37,15 @@ layers, whose field per volt of their terminal is g = -poling/h. NS is ND on
 the columns Q11 - Q12^2/Q22, e31 - Q12*e32/Q22 and eps33 + e32^2/Q22; NSR is
 ND plus a rank-2 correction by the transverse field (a, b) of every unit
 state. A unit voltage drives only its own terminal's layers, so no array is
-larger than O(L + T) apart from the (2+T)^2 matrix. The N and M rows
-integrate T11 (actuation) and the q rows collect the mean D3 (sensing);
-neither is filled from the other. Sums are elementwise products reduced with
-.sum(), never @, np.dot or einsum: a BLAS dot fuses multiply and add, which
-leaves one rounding error of a mirrored pair behind (the bimorph's B = 0 came
-out as 2.2e-15 N m). The moments int 1, z, z^2 of a layer of thickness h
-centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep full precision
-for a thin layer far from the mid-plane. A Section builds its read-only
-per-layer table once; its reductions and stress recoveries all read it.
+larger than O(L + T) apart from the (2+T)^2 matrix. The N and M rows integrate
+T11 (actuation) and the q rows collect the mean D3 (sensing); neither is
+filled from the other. Sums are elementwise products reduced with
+np.add.reduce, never @, np.dot or einsum: a BLAS dot fuses multiply and add,
+which leaves one rounding error of a mirrored pair behind (the bimorph's B = 0
+came out as 2.2e-15 N m). The moments int 1, z, z^2 of a layer of thickness h
+centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep full precision for
+a thin layer far from the mid-plane. A Section builds its read-only per-layer
+table once; its reductions and stress recoveries all read it.
 """
 
 from __future__ import annotations
@@ -205,8 +205,9 @@ class SectionConstitutive:
     without symmetrization; its symmetry is the reciprocity statement.
     It must be finite, and its stiffness block Kmm and capacitance block Cq
     positive definite: each block's symmetric part must have a Cholesky
-    factor. Finiteness is checked first, because a NaN or infinite block
-    factors without an error.
+    factor, which an exactly diagonal block (Cq under ND and NS) has when its
+    diagonal is positive. Finiteness is checked first, because a NaN or
+    infinite block factors without an error.
     """
 
     matrix: np.ndarray
@@ -221,7 +222,7 @@ class SectionConstitutive:
                              f"expected {(2 + self.n_terminals,) * 2}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise LayupError("constitutive matrix has non-finite entries")
         if not _is_positive_definite(self.kmm):
             raise LayupError("mechanical stiffness block is not positive definite")
@@ -301,14 +302,14 @@ class StressProfile(NamedTuple):
 class _LayerTable(NamedTuple):
     """Read-only columns of one section, built once per Section.
 
-    Per layer: the material columns, the center zc and the moments rows m0,
-    m1, m2. Electroded layer members[i] feeds terminal collect[i] and sees
-    E3 = g[i] * V, and pg = poling*g. The electrode rows -g*m0, -g*m1,
-    poling and poling*zc, times e31 (or e32), give the T11 (or T22) of a
-    unit voltage and the charge of a unit strain and curvature; slots sends
-    row r to bin r*T + collect, so one bincount scatters all four. k is the
-    NSR stiffness sum Q22*(m0, m1; m1, m2). No sum is a BLAS dot, which
-    would break the exact cancellation of mirrored layers.
+    The interfaces z, and per layer the material columns, the center zc and
+    the moments rows m0, m1, m2. Electroded layer members[i] feeds terminal
+    collect[i] and sees E3 = g[i] * V, and pg = poling*g. The electrode rows
+    -g*m0, -g*m1, poling and poling*zc, times e31 (or e32), give the T11 (or
+    T22) of a unit voltage and the charge of a unit strain and curvature;
+    slots sends row r to bin r*T + collect, so one bincount scatters all
+    four. k is the NSR stiffness sum Q22*(m0, m1; m1, m2). No sum is a BLAS
+    dot, which would break the exact cancellation of mirrored layers.
     """
 
     q11: np.ndarray
@@ -317,6 +318,7 @@ class _LayerTable(NamedTuple):
     e31: np.ndarray
     e32: np.ndarray
     eps33: np.ndarray
+    z: np.ndarray
     zc: np.ndarray
     moments: np.ndarray
     members: np.ndarray
@@ -331,21 +333,22 @@ class _LayerTable(NamedTuple):
 def _layer_table(section: Section) -> _LayerTable:
     """The read-only table of a section (see _LayerTable)."""
     layers, terminals = section.layers, section.terminals
-    q11, q12, q22, e31, e32, eps33, poling, h, z0 = np.fromiter(chain.from_iterable(
+    q11, q12, q22, e31, e32, eps33, poling, h = np.fromiter(chain.from_iterable(
         (l.material.Q11, l.material.Q12, l.material.Q22, l.material.e31, l.material.e32,
-         l.material.eps33, l.poling, l.thickness, z) for l, z in
-        zip(layers, section.z_interfaces)), float, 9 * len(layers)).reshape(-1, 9).T
+         l.material.eps33, l.poling, l.thickness) for l in layers),
+        float, 8 * len(layers)).reshape(-1, 8).T
+    z = np.array(section.z_interfaces)
     members, collect = np.fromiter(chain.from_iterable(
         (i, t) for t, m in enumerate(terminals) for i in m), int).reshape(-1, 2).T
-    zc = z0 + 0.5 * h
+    zc = z[:-1] + 0.5 * h
     m1 = h * zc
     moments = np.array((h, m1, m1 * zc + h ** 3 / 12.0))
     pm = poling[members]
     g = -pm / h[members]
     electrode = np.array((-g * h[members], -g * m1[members], pm, pm * zc[members]))
     slots = (collect + len(terminals) * np.arange(4)[:, None]).ravel()
-    k0, k1, k2 = (q22 * moments).sum(axis=1)
-    table = _LayerTable(q11, q12, q22, e31, e32, eps33, zc, moments, members, collect, g,
+    k0, k1, k2 = np.add.reduce(q22 * moments, axis=1)
+    table = _LayerTable(q11, q12, q22, e31, e32, eps33, z, zc, moments, members, collect, g,
                         pm * g, electrode, slots, np.array(((k0, k1), (k1, k2))))
     for column in table:
         column.flags.writeable = False
@@ -355,7 +358,7 @@ def _layer_table(section: Section) -> _LayerTable:
 def _integrals(t: _LayerTable, c0, c1) -> tuple:
     """int f dz and int z*f dz of the layerwise-linear f = c0 + c1*z."""
     m0, m1, m2 = t.moments
-    return (c0 * m0 + c1 * m1).sum(), (c0 * m1 + c1 * m2).sum()
+    return np.add.reduce(c0 * m0 + c1 * m1), np.add.reduce(c0 * m1 + c1 * m2)
 
 
 def _scatter(t: _LayerTable, column, n_terminals: int) -> np.ndarray:
@@ -370,7 +373,7 @@ def _nsr_field(t: _LayerTable, n_terminals: int) -> tuple:
     a + b*z cancels both resultants n2, m2 of the T22 = Q12*S11 - e32*E3
     that S22 = 0 leaves: K (a, b) = -(n2, m2).
     """
-    s12 = (t.q12 * t.moments).sum(axis=1)
+    s12 = np.add.reduce(t.q12 * t.moments, axis=1)
     v = _scatter(t, t.e32, n_terminals)
     rhs = np.empty((2, 2 + n_terminals))
     rhs[0, :2], rhs[1, :2], rhs[:, 2:] = s12[:2], s12[1:], v[:2]
@@ -405,7 +408,7 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     t = section._table
     n_terminals = section.n_terminals
     q11, e31, eps33 = _closure_columns(t, closure)
-    s0, s1, s2 = (q11 * t.moments).sum(axis=1)
+    s0, s1, s2 = np.add.reduce(q11 * t.moments, axis=1)
     v = _scatter(t, e31, n_terminals)
     k = np.zeros((2 + n_terminals, 2 + n_terminals))
     k[0, :2], k[1, :2] = (s0, s1), (s1, s2)
@@ -483,15 +486,16 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
 
     # np.linspace's arithmetic without its overhead: start + i * step, with
     # the last point set to the layer's top face
-    z = section.z_interfaces
-    z0, z1 = np.array(z[:-1])[:, None], np.array(z[1:])[:, None]
+    z0, z1 = t.z[:-1, None], t.z[1:, None]
     zq = np.arange(samples_per_layer) * ((z1 - z0) / (samples_per_layer - 1)) + z0
     zq[:, -1:] = z1
-    samples = np.column_stack((np.repeat(np.arange(len(zq)), samples_per_layer), zq.ravel(),
-                               (t11[:, :1] + t11[:, 1:] * zq).ravel(),
-                               (t22[:, :1] + t22[:, 1:] * zq).ravel()))
-    return StressProfile(z_interfaces=z, t11_coefficients=t11, t22_coefficients=t22,
-                         samples=samples, n2=float(n2), m2=float(m2))
+    samples = np.empty((zq.size, 4))
+    samples[:, 0] = np.arange(zq.size) // samples_per_layer
+    samples[:, 1] = zq.ravel()
+    samples[:, 2] = (t11[:, :1] + t11[:, 1:] * zq).ravel()
+    samples[:, 3] = (t22[:, :1] + t22[:, 1:] * zq).ravel()
+    return StressProfile(z_interfaces=section.z_interfaces, t11_coefficients=t11,
+                         t22_coefficients=t22, samples=samples, n2=float(n2), m2=float(m2))
 
 
 class ClosureComparison(NamedTuple):
@@ -560,10 +564,11 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     (an int or a float, not a bool) and electroded a bool.
     Material names resolve against the optional materials mapping first and
     then against the built-in records, which are built only if a name is
-    missing from the mapping.
+    missing from the mapping; each distinct name resolves once per call.
     """
     materials = materials or {}
     builtins = None
+    planes = {}
     _check_object(layup, "layup", LayupError, _LAYUP_KEYS)
     try:
         width = layup["width_mm"]
@@ -595,18 +600,18 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
         if not isinstance(electroded, bool):
             raise LayupError(f"layer field 'electroded' must be true or false, "
                              f"got {electroded!r}")
-        if name in materials:
-            record = materials[name]
-        else:
+        plane = planes.get(name)
+        if plane is None and name not in materials:
             if builtins is None:
                 builtins = builtin_materials()
             if name not in builtins:
                 raise LayupError(f"unknown material {name!r}")
-            record = builtins[name]
         if poling_key not in _POLING:
             raise LayupError(f"unknown poling {poling_key!r} (expected +z, -z or none)")
-        layers.append(Layer(material=as_plane(record), thickness=thickness,
-                            poling=_POLING[poling_key], electroded=electroded))
+        if plane is None:
+            record = materials[name] if name in materials else builtins[name]
+            plane = planes[name] = as_plane(record)
+        layers.append(Layer(plane, thickness, _POLING[poling_key], electroded))
     return Section(layers=tuple(layers), width=width, wiring=wiring)
 
 

@@ -108,3 +108,20 @@ def make_random_section():
 @pytest.fixture
 def make_random_state():
     return random_state
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(owner, name) wraps owner.name for this test; returns its list of calls."""
+
+    def install(owner, name):
+        calls, fn = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install

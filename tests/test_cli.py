@@ -226,6 +226,14 @@ class TestReports:
         assert doc["tip_deflection_m"] == pytest.approx(
             doc["kappa_per_m"] * 0.06 ** 2 / 2, rel=1e-12)
 
+    def test_cantilever_beam_static_solves_once(self, capsys, count_calls):
+        # ND reduces without a solve: the one solve is the free actuation state
+        calls = count_calls(np.linalg, "solve")
+        code, out, _ = run_cli(capsys, "beam-static", "--layup", str(DOCS / "unimorph.json"),
+                               "--model", "nd", "--voltage", "100V")
+        assert code == 0 and "tip deflection" in out
+        assert len(calls) == 1
+
     def test_beam_modal_json(self, capsys):
         _, out, _ = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--length", "100mm",
                             "--modes", "2", "--circuit", "short", "--output", "json")

@@ -244,6 +244,35 @@ def test_positive_definite_helper_agrees_with_eigenvalues(n, seed, shift, scale)
     assert _is_positive_definite(m + skew) == (lowest > 0.0)
 
 
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_positive_entries = st.one_of(st.floats(_SMALLEST_NORMAL, 1.7e308),
+                              st.floats(5e-324, _SMALLEST_NORMAL, exclude_max=True))
+_non_positive_entries = st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.7e308, -5e-324))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_positive_definite_helper_agrees_with_cholesky_on_diagonals(n, data):
+    # a finite diagonal matrix, possibly with one non-positive entry and with
+    # -0.0 off the diagonal, takes the helper's shortcut; the reference is the
+    # factorization it skips, whose pivots overflow to inf near 1.7e308
+    d = data.draw(st.lists(_positive_entries, min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        d[data.draw(st.integers(0, n - 1))] = data.draw(_non_positive_entries)
+    m = np.diag(d)
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=n)):
+        if i != j:
+            m[i, j] = -0.0
+    try:
+        with np.errstate(over="ignore"):
+            np.linalg.cholesky(0.5 * (m + m.T))
+        factors = True
+    except np.linalg.LinAlgError:
+        factors = False
+    assert _is_positive_definite(m) == factors
+
+
 _json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
     st.sampled_from(("PZT-5H", "Al-6061", "+z", "-z", "none", "parallel", "independent",

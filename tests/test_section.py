@@ -191,6 +191,17 @@ class TestPositiveDefiniteness:
         with pytest.raises(LayupError, match="capacitance block is not positive definite"):
             self._constitutive(np.eye(2), [[1e-8, 1e-8], [1e-8, 1e-8]])
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_diagonal_capacitance_with_zero_rejected(self, zero):
+        # exactly diagonal, as under ND and NS: tested without a factorization
+        with pytest.raises(LayupError, match="capacitance block is not positive definite"):
+            self._constitutive(np.eye(2), np.diag([1e-8, zero, 2e-8]))
+
+    def test_diagonal_stiffness_with_negative_entry_rejected(self):
+        # B = 0, as on a mirror-symmetric stack
+        with pytest.raises(LayupError, match="stiffness block is not positive definite"):
+            self._constitutive(np.diag([1.0, -1e-9]), [[1e-8]])
+
     def test_symmetric_part_is_tested(self):
         # the lower triangle alone, [[1, 0], [-3, 1]], has no Cholesky factor;
         # the symmetric part, the identity, has one
@@ -525,6 +536,19 @@ class TestExactZeros:
         assert np.all(np.diag(cq) > 0.0)
 
 
+class TestFactorizationCount:
+    """Cq is diagonal under ND and NS, so only Kmm is factored; NSR factors both."""
+
+    @pytest.mark.parametrize("closure, factorizations", [("nd", 1), ("ns", 1), ("nsr", 2)])
+    def test_cholesky_calls_per_reduction(self, count_calls, closure, factorizations):
+        section = build_section(MIXED_LAYUP)
+        calls = count_calls(np.linalg, "cholesky")
+        k = reduce_section(section, closure)
+        # B != 0 keeps Kmm off the diagonal, so Kmm takes the factorization
+        assert (k.n_terminals, k.coupling_stiffness != 0.0) == (3, True)
+        assert len(calls) == factorizations
+
+
 class TestSharedTable:
     STATE = GeneralizedState(eps=2e-4, kappa=-0.3, voltages=(40.0, -15.0, 70.0))
 
@@ -549,6 +573,12 @@ class TestSharedTable:
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), call
         assert shared._table is shared._table
+
+    def test_profile_keeps_section_interfaces(self):
+        section = build_section(MIXED_LAYUP)
+        profile = recover_stress_profile(section, "nsr", self.STATE)
+        assert type(profile.z_interfaces) is tuple
+        assert profile.z_interfaces is section.z_interfaces
 
     def test_table_is_read_only(self):
         for column in build_section(MIXED_LAYUP)._table:
