@@ -27,7 +27,6 @@ from .oracle import discretized_oracle, oracle_transverse_multipliers
 from .section import (
     Closure,
     ClosureComparison,
-    ComparisonTable,
     GeneralizedState,
     Layer,
     LayupError,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .section import GeneralizedState, Section, SectionConstitutive, reduce_section
+from .section import _MAX_LENGTH, _MIN_LENGTH, GeneralizedState, Section, \
+    SectionConstitutive, _bending_stiffness, reduce_section
 
 BOUNDARIES = ("cantilever", "simply-supported")
 
@@ -36,8 +37,9 @@ class Beam:
     def __post_init__(self):
         if not self.mass_per_length > 0.0:
             raise BeamError("mass per length must be positive")
-        if not self.length > 0.0:
-            raise BeamError("length must be positive")
+        if not _MIN_LENGTH <= self.length <= _MAX_LENGTH:
+            raise BeamError(f"length must be positive and finite, between {_MIN_LENGTH:g} "
+                            f"and {_MAX_LENGTH:g} m, got {self.length}")
         if self.boundary not in BOUNDARIES:
             raise BeamError(f"unknown boundary {self.boundary!r}, expected one of {BOUNDARIES}")
 
@@ -72,19 +74,9 @@ def _tip_deflection(beam: Beam, state: GeneralizedState) -> float:
     return state.kappa * beam.length ** 2 / 2.0
 
 
-def sensor_charge(beam: Beam, imposed: GeneralizedState) -> np.ndarray:
+def sensor_charge(k: SectionConstitutive, imposed: GeneralizedState) -> np.ndarray:
     """Short-circuit charge per unit length, q = Kme^T [eps; kappa] at V = 0."""
-    k = beam.constitutive
     return k.kme.T @ np.array([imposed.eps, imposed.kappa])
-
-
-def _bending_stiffness(k: SectionConstitutive, circuit: str) -> float:
-    if circuit not in ("short", "open"):
-        raise BeamError(f"unknown circuit {circuit!r}, expected 'short' or 'open'")
-    kmm = k.kmm
-    if circuit == "open" and k.n_terminals:
-        kmm = kmm + k.kme @ np.linalg.solve(k.cq, k.kme.T)
-    return float(kmm[1, 1] - kmm[0, 1] * kmm[1, 0] / kmm[0, 0])
 
 
 def _boundary_eigenvalues(boundary: str, n_modes: int) -> np.ndarray:
@@ -104,20 +96,18 @@ def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
     """Bending natural frequencies f_n = (lambda_n^2 / 2 pi) sqrt(D_eff / m L^4), Hz."""
     if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
         raise BeamError(f"mode count must be an integer of at least 1, got {n_modes!r}")
+    if circuit not in ("short", "open"):
+        raise BeamError(f"unknown circuit {circuit!r}, expected 'short' or 'open'")
     d_eff = _bending_stiffness(beam.constitutive, circuit)
     lams = _boundary_eigenvalues(beam.boundary, n_modes)
     return lams ** 2 / (2.0 * np.pi) * np.sqrt(d_eff / (beam.mass_per_length * beam.length ** 4))
 
 
-def coupling_factor(beam: Beam, mode: int) -> float:
+def coupling_factor(k: SectionConstitutive) -> float:
     """Modal electromechanical coupling k^2 = (f_open^2 - f_short^2) / f_short^2.
 
-    With a uniform section the ratio f_open^2 / f_short^2 = D_open / D_short
-    is shared by all modes, so k^2 = D_open / D_short - 1 is mode-independent
-    here; the mode index is validated to keep the per-mode signature. A
-    section with no terminal gives exactly 0.
+    With a uniform section f_open^2 / f_short^2 = D_open / D_short for every
+    mode, length and boundary, so k^2 = D_open / D_short - 1 reads only the
+    section law. A section with no terminal gives exactly 0.
     """
-    if mode < 1:
-        raise BeamError("mode index starts at 1")
-    return _bending_stiffness(beam.constitutive, "open") \
-        / _bending_stiffness(beam.constitutive, "short") - 1.0
+    return _bending_stiffness(k, "open") / _bending_stiffness(k, "short") - 1.0

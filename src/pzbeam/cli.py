@@ -115,7 +115,7 @@ class Report(NamedTuple):
     """What a subcommand prints, in every output format.
 
     rows start with the header row, if the report has one; a float cell
-    prints to 6 significant digits, any other cell as str(). The table prints
+    prints through _fmt, any other cell as str(). The table prints
     rows, then footer; CSV prints csv_rows, which default to rows and differ
     where CSV wants other labels; JSON prints schema_version, command and
     then payload.
@@ -127,8 +127,13 @@ class Report(NamedTuple):
     footer: str = ""
 
 
-def _fmt(cell) -> str:
-    return f"{cell:.6g}" if isinstance(cell, float) else str(cell)
+def _fmt(cell, spec: str = ".6g") -> str:
+    """A float cell in the format spec, 6 significant digits by default; no nan or inf."""
+    if not isinstance(cell, float):
+        return str(cell)
+    if not math.isfinite(cell):
+        raise ArithmeticError(f"non-finite result {cell}")
+    return format(cell, spec)
 
 
 def _render_table(command: str, report: Report) -> str:
@@ -150,7 +155,7 @@ def _render_csv(command: str, report: Report) -> str:
 
 def _render_json(command: str, report: Report) -> str:
     doc = {"schema_version": SCHEMA_VERSION, "command": command, **report.payload}
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
@@ -166,7 +171,7 @@ def _reduce(section, args) -> Report:
     for t in range(k.n_terminals):
         rows.append((f"gm[{t}] [N/V]", k.gm[t]))
         rows.append((f"gk[{t}] [N m/V]", k.gk[t]))
-        rows.append((f"Cq[{t},{t}] [nF/mm]", f"{k.cq[t, t] * 1e6:.4f}"))
+        rows.append((f"Cq[{t},{t}] [nF/mm]", _fmt(k.cq[t, t] * 1e6, ".4f")))
     return Report(rows, {
         "closure": k.closure.value,
         "width_m": k.width,
@@ -184,20 +189,21 @@ def _reduce(section, args) -> Report:
 
 
 def _compare(section, args) -> Report:
-    table = compare_closures(section, reference_capacitance=args.reference_capacitance)
-    by = table.rows    # one per closure: ND, NS, NSR
+    ref = args.reference_capacitance
+    by = compare_closures(section, reference_capacitance=ref)    # ND, NS, NSR
     rows = [("quantity", "ND", "NS", "NSR"),
-            ["capacitance per unit line [nF/mm]"] + [f"{r.capacitance * 1e6:.4f}" for r in by]]
-    if table.reference_capacitance is not None:
-        rows.append(["deviation from reference [%]"] + [f"{r.deviation_pct:+.2f}" for r in by])
-        rows.append(["reference [nF/mm]", f"{table.reference_capacitance * 1e6:.4f}", "", ""])
-    rows.append(["free capacitance [nF/mm]"] + [f"{r.capacitance_free * 1e6:.4f}" for r in by])
+            ["capacitance per unit line [nF/mm]"] + [_fmt(r.capacitance * 1e6, ".4f") for r in by]]
+    if ref is not None:
+        rows.append(["deviation from reference [%]"] + [_fmt(r.deviation_pct, "+.2f") for r in by])
+        rows.append(["reference [nF/mm]", _fmt(ref * 1e6, ".4f"), "", ""])
+    rows.append(["free capacitance [nF/mm]"]
+                + [_fmt(r.capacitance_free * 1e6, ".4f") for r in by])
     rows.append(["extension stiffness A [N]"] + [r.extension_stiffness for r in by])
     rows.append(["bending stiffness D, short [N m^2]"] + [r.bending_stiffness_short for r in by])
     rows.append(["bending coupling gk [N m/V]"] + [r.bending_voltage_coupling for r in by])
     return Report(rows, {
         "deviation_convention": "(model - reference) / reference * 100",
-        "reference_capacitance_F_per_m": table.reference_capacitance,
+        "reference_capacitance_F_per_m": ref,
         "closures": {
             r.closure.value: {
                 "capacitance_per_length_F_per_m": r.capacitance,
@@ -236,7 +242,7 @@ def _stress(section, args) -> Report:
 def _capacitance(section, args) -> Report:
     k = reduce_section(section, args.closure)
     value = capacitance_per_length(k, args.condition, args.terminal)
-    cell = f"{value * 1e6:.6f}"
+    cell = _fmt(value * 1e6, ".6f")
     return Report(
         [(f"{args.condition} capacitance, terminal {args.terminal} [nF/mm]", cell)],
         csv_rows=[(f"{args.condition}_capacitance_terminal_{args.terminal}_nF_per_mm", cell)],
@@ -272,8 +278,8 @@ def _beam_static(section, args) -> Report:
 def _beam_modal(section, args) -> Report:
     beam = make_beam(section, args.closure, args.length, args.boundary)
     freqs = modal_frequencies(beam, args.circuit, args.modes)
-    k2 = coupling_factor(beam, 1)
-    rows = [(n + 1, f"{f:.4f}", k2) for n, f in enumerate(freqs)]
+    k2 = coupling_factor(beam.constitutive)
+    rows = [(n + 1, _fmt(f, ".4f"), k2) for n, f in enumerate(freqs)]
     return Report(
         [("mode", f"f ({args.circuit}) [Hz]", "k^2")] + rows,
         csv_rows=[("mode", "frequency_Hz", "k2")] + rows,
@@ -294,7 +300,9 @@ _COMMANDS = {"reduce": _reduce, "compare": _compare, "stress": _stress,
 
 def run(args: argparse.Namespace) -> int:
     db = load_material_db(args.material_db_path) if args.material_db_path else None
-    report = _COMMANDS[args.command](load_layup(args.layup_path, material_db=db), args)
+    section = load_layup(args.layup_path, material_db=db)
+    with np.errstate(over="raise", invalid="raise"):    # underflow to 0 is fine
+        report = _COMMANDS[args.command](section, args)
     sys.stdout.write(_RENDERERS[args.output](args.command, report))
     return 0
 
@@ -306,7 +314,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return run(args)
-    except (LayupError, MaterialError, BeamError, FileNotFoundError) as exc:
+    except (LayupError, MaterialError, BeamError, OSError, UnicodeDecodeError) as exc:
         print(f"pzbeam: input error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:

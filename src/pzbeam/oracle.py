@@ -46,12 +46,12 @@ def _sublayer_data(section: Section, n: int):
     centers, halves = [], []
     cols = {k: [] for k in ("Q11", "Q12", "Q22", "e31", "e32", "eps33")}
     ev = []   # E3 coefficient row over the unit states, poling frame
+    terminal = {i: t for t, members in enumerate(section.terminals) for i in members}
     for i, layer in enumerate(section.layers):
         dz = layer.thickness / n
-        term = section.terminal_of(i)
         row = np.zeros(n_u)
-        if term is not None:
-            row[2 + term] = -layer.poling / layer.thickness
+        if i in terminal:
+            row[2 + terminal[i]] = -layer.poling / layer.thickness
         for k in range(n):
             centers.append(z[i] + (k + 0.5) * dz)
             halves.append(dz / 2.0)

@@ -170,12 +170,6 @@ class Section:
     def mass_per_length(self) -> float:
         return self.width * sum(l.material.density * l.thickness for l in self.layers)
 
-    def terminal_of(self, layer_index: int):
-        for t, members in enumerate(self.terminals):
-            if layer_index in members:
-                return t
-        return None
-
     @cached_property
     def _table(self) -> _LayerTable:
         return _layer_table(self)
@@ -450,6 +444,14 @@ def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
     raise LayupError(f"unknown capacitance condition {condition!r}")
 
 
+def _bending_stiffness(k: SectionConstitutive, circuit: str) -> float:
+    """D - B^2/A condensed at N = 0: of Kmm, or of Kmm + Kme Cq^-1 Kme^T for 'open'."""
+    kmm = k.kmm
+    if circuit == "open" and k.n_terminals:
+        kmm = kmm + k.kme @ np.linalg.solve(k.cq, k.kme.T)
+    return float(kmm[1, 1] - kmm[0, 1] * kmm[1, 0] / kmm[0, 0])
+
+
 def recover_stress_profile(section: Section, closure, state: GeneralizedState,
                            samples_per_layer: int = 11) -> StressProfile:
     """Layerwise-linear T11 and T22 fields for an imposed generalized state.
@@ -510,14 +512,8 @@ class ClosureComparison(NamedTuple):
     deviation_pct: float | None = None  # (model - reference) / reference * 100
 
 
-class ComparisonTable(NamedTuple):
-    rows: tuple
-    reference_capacitance: float | None = None
-
-
-def compare_closures(section: Section,
-                     reference_capacitance: float | None = None) -> ComparisonTable:
-    """Evaluate all three closures on one section.
+def compare_closures(section: Section, reference_capacitance: float | None = None) -> tuple:
+    """Evaluate all three closures on one section: one ClosureComparison per closure.
 
     The capacitance column holds the blocked (constitutive) capacitance of
     terminal 0, or 0 with no terminal, which takes no reference; the percent
@@ -534,16 +530,12 @@ def compare_closures(section: Section,
             gk = float(k.gk[0])
         else:
             cap = cap_free = gk = 0.0
-        a = k.extension_stiffness
-        d_sc = k.bending_stiffness - k.coupling_stiffness ** 2 / a
         dev = None
         if reference_capacitance is not None:
             dev = (cap - reference_capacitance) / reference_capacitance * 100.0
-        rows.append(ClosureComparison(closure=closure, capacitance=cap,
-                                      capacitance_free=cap_free, extension_stiffness=a,
-                                      bending_stiffness_short=d_sc,
-                                      bending_voltage_coupling=gk, deviation_pct=dev))
-    return ComparisonTable(rows=tuple(rows), reference_capacitance=reference_capacitance)
+        rows.append(ClosureComparison(closure, cap, cap_free, k.extension_stiffness,
+                                      _bending_stiffness(k, "short"), gk, dev))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ from pzbeam import (
     reduce_section,
     sensor_charge,
 )
-from pzbeam.beam import _boundary_eigenvalues
+from pzbeam.beam import BOUNDARIES, _boundary_eigenvalues
 from pzbeam.section import PlaneMaterial
+
+from conftest import random_section
 
 DIELECTRIC = PlaneMaterial(name="dielectric", Q11=60e9, Q12=18e9, Q22=60e9,
                            e31=0.0, e32=0.0, eps33=1.5e-8, density=7500.0)
@@ -100,22 +102,21 @@ class TestTipDeflection:
 
 class TestSensorCharge:
     def test_zero_state(self, sandwich):
-        beam = make_beam(sandwich, "nsr", 0.1)
-        assert np.all(sensor_charge(beam, GeneralizedState()) == 0.0)
+        k = reduce_section(sandwich, "nsr")
+        assert np.all(sensor_charge(k, GeneralizedState()) == 0.0)
 
     def test_extension_decoupled_on_mirror_sandwich(self, sandwich):
-        beam = make_beam(sandwich, "nsr", 0.1)
-        q = sensor_charge(beam, GeneralizedState(eps=1e-4))
-        k = beam.constitutive
+        k = reduce_section(sandwich, "nsr")
+        q = sensor_charge(k, GeneralizedState(eps=1e-4))
         assert abs(q[0]) <= 1e-12 * abs(k.gk[0]) / sandwich.thickness * 1e-4
 
     def test_curvature_fixture_and_reciprocity(self, sandwich):
-        beam = make_beam(sandwich, "nsr", 0.1)
+        k = reduce_section(sandwich, "nsr")
         kappa = 0.01
-        q = sensor_charge(beam, GeneralizedState(kappa=kappa))
+        q = sensor_charge(k, GeneralizedState(kappa=kappa))
         assert q[0] == pytest.approx(-7.601769641523459e-06, rel=1e-10)
         # charge per unit curvature equals moment per unit voltage
-        assert q[0] == pytest.approx(beam.constitutive.gk[0] * kappa, rel=1e-12)
+        assert q[0] == pytest.approx(k.gk[0] * kappa, rel=1e-12)
 
 
 class TestModal:
@@ -125,7 +126,7 @@ class TestModal:
         beam = make_beam(section, "nsr", 0.1)
         np.testing.assert_array_equal(modal_frequencies(beam, "open", 5),
                                       modal_frequencies(beam, "short", 5))
-        assert coupling_factor(beam, 1) == 0.0
+        assert coupling_factor(beam.constitutive) == 0.0
 
     @pytest.mark.parametrize("closure", ["nd", "ns", "nsr"])
     def test_open_stiffening(self, sandwich, closure):
@@ -182,6 +183,9 @@ class TestModal:
             modal_frequencies(beam, "short", 0)
         with pytest.raises(BeamError):
             make_beam(sandwich, "nsr", -0.1)
+        for length in (1e-31, 1e31):
+            with pytest.raises(BeamError, match="length"):
+                make_beam(sandwich, "nsr", length)
         with pytest.raises(BeamError):
             Beam(constitutive=beam.constitutive, mass_per_length=0.0, length=0.1)
 
@@ -189,30 +193,28 @@ class TestModal:
 class TestCouplingFactor:
     def test_fixtures_and_ordering(self, sandwich):
         """Frozen from the reduced matrices of the shipped sandwich."""
-        k2 = {c: coupling_factor(make_beam(sandwich, c, 0.1), 1) for c in ("nd", "ns", "nsr")}
+        k2 = {c: coupling_factor(reduce_section(sandwich, c)) for c in ("nd", "ns", "nsr")}
         assert k2["nd"] == pytest.approx(0.3276947057815043, rel=1e-9)
         assert k2["ns"] == pytest.approx(0.10791589677630035, rel=1e-9)
         assert k2["nsr"] == pytest.approx(0.12972668315608715, rel=1e-9)
         assert k2["ns"] < k2["nsr"] < k2["nd"]
 
-    def test_length_invariance(self, sandwich):
-        short = coupling_factor(make_beam(sandwich, "nsr", 0.05), 1)
-        long = coupling_factor(make_beam(sandwich, "nsr", 0.4), 1)
-        assert short == pytest.approx(long, rel=1e-12)
-
     def test_no_terminals_is_exactly_zero(self, al_plane):
         section = Section(layers=(Layer(al_plane, 1e-3),), width=0.01)
-        for boundary in ("cantilever", "simply-supported"):
-            assert coupling_factor(make_beam(section, "nsr", 0.1, boundary), 1) == 0.0
+        assert coupling_factor(reduce_section(section, "nsr")) == 0.0
 
-    def test_independent_of_length_and_boundary(self, sandwich):
-        # k^2 = D_open / D_short - 1 reads only the section
-        k2 = {coupling_factor(make_beam(sandwich, "nsr", length, boundary), 1)
-              for length in (0.05, 0.4) for boundary in ("cantilever", "simply-supported")}
-        assert len(k2) == 1
-
-    def test_nonnegative_and_mode_validated(self, sandwich):
-        beam = make_beam(sandwich, "nsr", 0.1)
-        assert coupling_factor(beam, 3) >= 0.0
-        with pytest.raises(BeamError):
-            coupling_factor(beam, 0)
+    def test_matches_modal_definition(self):
+        """k^2 = (f_open^2 - f_short^2) / f_short^2 of every mode, length and boundary."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            section = random_section(rng)
+            for closure in ("nd", "ns", "nsr"):
+                k = reduce_section(section, closure)
+                k2 = coupling_factor(k)
+                assert k2 >= 0.0
+                for boundary in BOUNDARIES:
+                    beam = Beam(k, section.mass_per_length, rng.uniform(0.05, 0.5), boundary)
+                    f_short = modal_frequencies(beam, "short", 6)
+                    f_open = modal_frequencies(beam, "open", 6)
+                    np.testing.assert_allclose((f_open ** 2 - f_short ** 2) / f_short ** 2, k2,
+                                               rtol=0.0, atol=1e-12 * (1.0 + k2))

@@ -1,12 +1,15 @@
 """CLI parsing, reports, determinism and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pzbeam.cli
 from pzbeam import load_layup, reduce_section
@@ -18,12 +21,21 @@ SANDWICH = str(DOCS / "sandwich.json")
 # --materials; paths in argv are relative to the repository root
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_table_csv.json").read_text())
 COMMANDS = ("reduce", "compare", "stress", "capacitance", "beam-static", "beam-modal")
+NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestParseArgs:
@@ -112,6 +124,51 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--length=-1")
         assert code == 2
         assert "input error" in err and "length" in err
+
+    @pytest.mark.parametrize("length", ["1e-90", "1e300"])
+    def test_length_out_of_bounds_is_input_error(self, capsys, length):
+        code, out, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, f"--length={length}")
+        assert code == 2 and not out
+        assert "input error" in err and "length" in err
+
+    @pytest.mark.parametrize("layup", ["sandwich", "unimorph", "bimorph"])
+    @pytest.mark.parametrize("length", ["1e-30", "1e30"])
+    def test_length_bounds_give_finite_output(self, capsys, layup, length):
+        for argv in (("beam-modal", "--modes=8", "--circuit=open"),
+                     ("beam-static", "--voltage=200V")):
+            for fmt in ("table", "json"):
+                code, out, _ = run_cli(capsys, argv[0], "--layup", str(DOCS / f"{layup}.json"),
+                                       f"--length={length}", "--output", fmt, *argv[1:])
+                assert code == 0 and not NON_FINITE.search(out)
+                if fmt == "json":
+                    strict_json(out)
+
+    @pytest.mark.parametrize("flag", ["--layup", "--materials"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_file_is_input_error(self, capsys, tmp_path, flag, kind):
+        path = tmp_path
+        if kind == "non-utf8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes(b'{"width_mm": 17.8, "wiring": "parallel \xff"}')
+        argv = ["--layup", str(path)]
+        if flag == "--materials":
+            argv = ["--layup", SANDWICH, flag, str(path)]
+        code, out, err = run_cli(capsys, "reduce", *argv)
+        assert code == 2 and not out
+        assert "input error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("stress", "--voltage=1e305V", "--points=2"),
+        ("stress", "--voltage=1e305V", "--points=2", "--output", "json"),
+        ("beam-static", "--voltage=1e305V", "--length=1e30"),
+        ("beam-static", "--voltage=1e305V", "--length=1e30", "--output", "json"),
+        ("beam-static", "--voltage=1e305V", "--length=1e30", "--output", "csv"),
+        ("compare", "--reference-capacitance=1e-320"),
+        ("compare", "--reference-capacitance=1e-320", "--output", "json")])
+    def test_non_finite_result_is_computation_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], "--layup", SANDWICH, *argv[1:])
+        assert code == 1 and not out
+        assert "computation error" in err
 
     @pytest.mark.parametrize("key, value", [("width_mm", "inf"), ("thickness_mm", "inf"),
                                             ("electroded", "false"), ("material", ["PZT-5H"]),
@@ -305,3 +362,33 @@ class TestReportShape:
         code, out, _ = run_cli(capsys, "beam-modal", "--layup", str(layup), "--output", "json")
         assert code == 0
         assert json.loads(out)["coupling_factor_k2"] == 0.0
+
+
+# finite extremes, subnormal to 1e308, of either sign
+_EXTREME = st.one_of(st.floats(5e-324, 1e308), st.floats(-1e308, -5e-324),
+                     st.sampled_from([0.0, 5e-324, 1e-30, 1e30, 1e305, 1e308, -1e308]))
+_FLAGS = {"stress": ("--eps", "--kappa", "--voltage"), "beam-static": ("--voltage", "--length"),
+          "beam-modal": ("--length",), "compare": ("--reference-capacitance",)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(sorted(_FLAGS)),
+       layup=st.sampled_from(["sandwich", "unimorph", "bimorph"]),
+       fmt=st.sampled_from(["table", "csv", "json"]),
+       values=st.lists(st.none() | _EXTREME, min_size=3, max_size=3))
+@example(command="stress", layup="sandwich", fmt="json", values=[None, None, 1e305])
+@example(command="beam-static", layup="sandwich", fmt="table", values=[1e305, 1e30, None])
+@example(command="compare", layup="sandwich", fmt="table", values=[1e-320, None, None])
+def test_cli_never_prints_non_finite(command, layup, fmt, values):
+    """Every exit is 0, 1 or 2, and exit 0 prints only finite numbers."""
+    argv = [command, "--layup", str(DOCS / f"{layup}.json"), "--output", fmt]
+    argv += [f"{flag}={value!r}" for flag, value in zip(_FLAGS[command], values)
+             if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert not NON_FINITE.search(out.getvalue())
+        if fmt == "json":
+            strict_json(out.getvalue())

@@ -146,9 +146,10 @@ def test_nsr_resultant_annihilation(section, eps, kappa, volt):
     term_scale = 0.0
     a, b = nsr_transverse_field(section).for_state(state)
     z = section.z_interfaces
+    terminal_of = {i: t for t, members in enumerate(section.terminals) for i in members}
     for i, layer in enumerate(section.layers):
         p = layer.material
-        t = section.terminal_of(i)
+        t = terminal_of.get(i)
         e3 = -layer.poling * (state.voltages[t] if t is not None else 0.0) / layer.thickness
         zmax = max(abs(z[i]), abs(z[i + 1]))
         s11 = abs(state.eps) + zmax * abs(state.kappa)

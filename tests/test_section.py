@@ -413,24 +413,24 @@ class TestTransverseResultants:
 class TestCompareClosures:
     def test_elastic_stack_decoupled(self):
         s = Section(layers=(Layer(AL, 1e-3), Layer(AL, 2e-3)), width=0.01)
-        table = compare_closures(s)
-        assert all(row.capacitance == 0.0 for row in table.rows)
-        assert all(row.bending_voltage_coupling == 0.0 for row in table.rows)
-        by = {row.closure: row for row in table.rows}
+        rows = compare_closures(s)
+        assert all(row.capacitance == 0.0 for row in rows)
+        assert all(row.bending_voltage_coupling == 0.0 for row in rows)
+        by = {row.closure: row for row in rows}
         ratio = by[Closure.ND].bending_stiffness_short / by[Closure.NS].bending_stiffness_short
         assert ratio == pytest.approx(1 / (1 - 0.33 ** 2), rel=1e-12)
 
     def test_single_piezo_layer_ns_equals_nsr(self, pzt_plane):
         s = Section(layers=(Layer(pzt_plane, 0.5e-3, poling=+1, electroded=True),), width=0.02)
-        by = {row.closure: row for row in compare_closures(s).rows}
+        by = {row.closure: row for row in compare_closures(s)}
         for attr in ("capacitance", "capacitance_free", "extension_stiffness",
                      "bending_stiffness_short", "bending_voltage_coupling"):
             ns, nsr = getattr(by[Closure.NS], attr), getattr(by[Closure.NSR], attr)
             assert nsr == pytest.approx(ns, rel=1e-12, abs=1e-300)
 
     def test_deviation_convention(self, sandwich):
-        table = compare_closures(sandwich, reference_capacitance=2.86e-6)
-        by = {row.closure: row for row in table.rows}
+        by = {row.closure: row for row in compare_closures(sandwich,
+                                                           reference_capacitance=2.86e-6)}
         cap = by[Closure.NSR].capacitance
         assert by[Closure.NSR].deviation_pct == pytest.approx(
             (cap - 2.86e-6) / 2.86e-6 * 100.0, rel=1e-12)
@@ -443,18 +443,18 @@ class TestCompareClosures:
             compare_closures(s, reference_capacitance=2.86e-6)
 
     def test_no_reference_no_deviation(self, sandwich):
-        assert all(row.deviation_pct is None for row in compare_closures(sandwich).rows)
+        assert all(row.deviation_pct is None for row in compare_closures(sandwich))
 
     def test_capacitance_ordering_on_shipped_layups(self, sandwich, unimorph):
         for section in (sandwich, unimorph):
-            by = {row.closure: row for row in compare_closures(section).rows}
+            by = {row.closure: row for row in compare_closures(section)}
             assert by[Closure.ND].capacitance < by[Closure.NSR].capacitance \
                 < by[Closure.NS].capacitance
 
     def test_single_piezo_layer_nd_differs(self, pzt_plane):
         # the rigid-transverse closure stays distinct whenever Q12 or e32 is live
         s = Section(layers=(Layer(pzt_plane, 0.5e-3, poling=+1, electroded=True),), width=0.02)
-        by = {row.closure: row for row in compare_closures(s).rows}
+        by = {row.closure: row for row in compare_closures(s)}
         assert by[Closure.ND].capacitance != pytest.approx(
             by[Closure.NS].capacitance, rel=1e-3)
         assert by[Closure.ND].extension_stiffness != pytest.approx(
