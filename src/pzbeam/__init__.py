@@ -33,7 +33,6 @@ from .section import (
     Section,
     SectionConstitutive,
     StressProfile,
-    TransverseField,
     build_section,
     capacitance_per_length,
     compare_closures,

@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except (LayupError, MaterialError, BeamError, OSError, UnicodeDecodeError) as exc:
         print(f"pzbeam: input error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
+    except (np.linalg.LinAlgError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"pzbeam: computation error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,10 +110,10 @@ def _is_positive_definite(m) -> bool:
     return True
 
 
-def _check_spd(m, what, rtol=1e-8):
-    """Reject a finite matrix that is not symmetric (to rtol) or not positive definite."""
+def _check_spd(m, what):
+    """Reject a finite matrix that is not symmetric (to 1e-8) or not positive definite."""
     scale = np.max(np.abs(m))
-    if scale > 0 and np.max(np.abs(m - m.T)) > rtol * scale:
+    if scale > 0 and np.max(np.abs(m - m.T)) > 1e-8 * scale:
         raise MaterialError(f"{what} is not symmetric")
     if not _is_positive_definite(m):
         raise MaterialError(f"{what} is not positive definite")
@@ -145,10 +145,6 @@ class Material3D:
 
     def __post_init__(self):
         _check_3d(self, ("cE", "e", "epsS"))
-
-    @property
-    def is_elastic(self) -> bool:
-        return not np.any(self.e)
 
     @cached_property
     def plane(self) -> PlaneMaterial:
@@ -345,9 +341,10 @@ def _record_from_json(entry):
     except KeyError as exc:
         raise MaterialError(f"malformed database: entry {name!r} missing key {exc}") from exc
     _check_number(density, "density_kg_m3", MaterialError, prefix=invalid)
+    provenance = entry.get("provenance", "")
+    _check_str(provenance, "provenance", MaterialError, prefix=invalid)
     try:
-        return record_type(name, *matrices, density=float(density),
-                           provenance=entry.get("provenance", ""))
+        return record_type(name, *matrices, density=float(density), provenance=provenance)
     except (TypeError, ValueError, OverflowError) as exc:
         raise MaterialError(f"{invalid}{exc}") from exc
 
@@ -368,7 +365,7 @@ def load_material_db(path=None) -> dict:
     try:
         doc = json.loads(text)
         entries = doc["materials"]
-    except (json.JSONDecodeError, TypeError, KeyError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError, KeyError) as exc:
         raise MaterialError(f"malformed database {path}: {exc}") from exc
     if not isinstance(entries, list):
         raise MaterialError(f"malformed database {path}: 'materials' must be a list")

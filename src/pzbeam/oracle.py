@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .section import Closure, Section, SectionConstitutive, TransverseField
+from .section import Closure, Section, SectionConstitutive
 
 
 def _sublayer_data(section: Section, n: int):
@@ -126,7 +126,6 @@ def discretized_oracle(section: Section, closure, n: int) -> SectionConstitutive
                                closure=closure, width=section.width)
 
 
-def oracle_transverse_multipliers(section: Section, n: int) -> TransverseField:
+def oracle_transverse_multipliers(section: Section, n: int) -> np.ndarray:
     """NSR multipliers per unit state; dual check against nsr_transverse_field."""
-    _, multipliers = _assemble(section, Closure.NSR, n)
-    return TransverseField(coefficients=multipliers)
+    return _assemble(section, Closure.NSR, n)[1]

@@ -258,21 +258,6 @@ class SectionConstitutive:
         return self.matrix[1, 2:]
 
 
-class TransverseField(NamedTuple):
-    """Section-wide transverse strain S22(z) = a + b*z of the NSR closure.
-
-    coefficients[j] = (a, b) for the unit generalized state j, ordered
-    (eps, kappa, V_0, ..., V_{T-1}).
-    """
-
-    coefficients: np.ndarray
-
-    def for_state(self, state: GeneralizedState) -> tuple:
-        u = np.concatenate(([state.eps, state.kappa], state.voltages))
-        a, b = u @ self.coefficients
-        return float(a), float(b)
-
-
 class StressProfile(NamedTuple):
     """Layerwise-linear T11(z), T22(z) with sampled grid and T22 resultants.
 
@@ -282,7 +267,6 @@ class StressProfile(NamedTuple):
     transverse resultants per unit beam length, int T22 dz and int z T22 dz.
     """
 
-    z_interfaces: tuple
     t11_coefficients: np.ndarray
     t22_coefficients: np.ndarray
     samples: np.ndarray
@@ -296,14 +280,15 @@ class StressProfile(NamedTuple):
 class _LayerTable(NamedTuple):
     """Read-only columns of one section, built once per Section.
 
-    The interfaces z, and per layer the material columns, the center zc and
-    the moments rows m0, m1, m2. Electroded layer members[i] feeds terminal
-    collect[i] and sees E3 = g[i] * V, and pg = poling*g. The electrode rows
-    -g*m0, -g*m1, poling and poling*zc, times e31 (or e32), give the T11 (or
-    T22) of a unit voltage and the charge of a unit strain and curvature;
-    slots sends row r to bin r*T + collect, so one bincount scatters all
-    four. k is the NSR stiffness sum Q22*(m0, m1; m1, m2). No sum is a BLAS
-    dot, which would break the exact cancellation of mirrored layers.
+    The interfaces z, and per layer the material columns and the moments
+    rows m0, m1, m2 of the layer centered at zc. Electroded layer members[i]
+    feeds terminal collect[i] and sees E3 = g[i] * V, and pg = poling*g. The
+    electrode rows -g*m0, -g*m1, poling and poling*zc, times e31 (or e32),
+    give the T11 (or T22) of a unit voltage and the charge of a unit strain
+    and curvature; slots sends row r to bin r*T + collect, so one bincount
+    scatters all four. k is the NSR stiffness sum Q22*(m0, m1; m1, m2). No
+    sum is a BLAS dot, which would break the exact cancellation of mirrored
+    layers.
     """
 
     q11: np.ndarray
@@ -313,7 +298,6 @@ class _LayerTable(NamedTuple):
     e32: np.ndarray
     eps33: np.ndarray
     z: np.ndarray
-    zc: np.ndarray
     moments: np.ndarray
     members: np.ndarray
     collect: np.ndarray
@@ -342,8 +326,8 @@ def _layer_table(section: Section) -> _LayerTable:
     electrode = np.array((-g * h[members], -g * m1[members], pm, pm * zc[members]))
     slots = (collect + len(terminals) * np.arange(4)[:, None]).ravel()
     k0, k1, k2 = np.add.reduce(q22 * moments, axis=1)
-    table = _LayerTable(q11, q12, q22, e31, e32, eps33, z, zc, moments, members, collect, g,
-                        pm * g, electrode, slots, np.array(((k0, k1), (k1, k2))))
+    table = _LayerTable(q11, q12, q22, e31, e32, eps33, z, moments, members, collect, g, pm * g,
+                        electrode, slots, np.array(((k0, k1), (k1, k2))))
     for column in table:
         column.flags.writeable = False
     return table
@@ -375,10 +359,14 @@ def _nsr_field(t: _LayerTable, n_terminals: int) -> tuple:
     return a, b, s12, v
 
 
-def nsr_transverse_field(section: Section) -> TransverseField:
-    """Solve the 2x2 resultant-annihilation system for all unit states at once."""
+def nsr_transverse_field(section: Section) -> np.ndarray:
+    """The NSR strain S22(z) = a + b*z of every unit state, from one 2x2 solve.
+
+    Row j of the (2+T)x2 array is (a, b) for unit state j, in the order
+    eps, kappa, V_0, ..., V_{T-1}.
+    """
     a, b, _, _ = _nsr_field(section._table, section.n_terminals)
-    return TransverseField(coefficients=np.column_stack((a, b)))
+    return np.column_stack((a, b))
 
 
 def _closure_columns(t: _LayerTable, closure: Closure) -> tuple:
@@ -469,7 +457,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     t = section._table
     eps, kappa = state.eps, state.kappa
     # E3 of the one imposed state: g times the voltage of the layer's terminal
-    e3 = np.zeros(len(t.zc))
+    e3 = np.zeros(len(t.q11))
     e3[t.members] = t.g * np.array(state.voltages)[t.collect]
     q11, e31, _ = _closure_columns(t, closure)
     s0 = s1 = 0.0
@@ -496,8 +484,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     samples[:, 1] = zq.ravel()
     samples[:, 2] = (t11[:, :1] + t11[:, 1:] * zq).ravel()
     samples[:, 3] = (t22[:, :1] + t22[:, 1:] * zq).ravel()
-    return StressProfile(z_interfaces=section.z_interfaces, t11_coefficients=t11,
-                         t22_coefficients=t22, samples=samples, n2=float(n2), m2=float(m2))
+    return StressProfile(t11, t22, samples, float(n2), float(m2))
 
 
 class ClosureComparison(NamedTuple):
@@ -611,6 +598,6 @@ def load_layup(path, material_db=None) -> Section:
     """Parse a layup JSON file, resolving materials against an optional database."""
     try:
         layup = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise LayupError(f"malformed layup file {path}: {exc}") from exc
     return build_section(layup, materials=material_db)

@@ -188,6 +188,9 @@ class TestModal:
                 make_beam(sandwich, "nsr", length)
         with pytest.raises(BeamError):
             Beam(constitutive=beam.constitutive, mass_per_length=0.0, length=0.1)
+        with pytest.raises(BeamError, match="unknown boundary 'free'"):
+            Beam(constitutive=beam.constitutive, mass_per_length=1.0, length=0.1,
+                 boundary="free")
 
 
 class TestCouplingFactor:

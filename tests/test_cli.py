@@ -144,18 +144,23 @@ class TestExitCodes:
                     strict_json(out)
 
     @pytest.mark.parametrize("flag", ["--layup", "--materials"])
-    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8", "truncated", "deeply-nested"])
     def test_unreadable_file_is_input_error(self, capsys, tmp_path, flag, kind):
         path = tmp_path
         if kind == "non-utf8":
             path = tmp_path / "latin1.json"
             path.write_bytes(b'{"width_mm": 17.8, "wiring": "parallel \xff"}')
+        elif kind != "directory":
+            path = tmp_path / "bad.json"
+            path.write_text("{" if kind == "truncated" else "[" * 100000 + "]" * 100000)
         argv = ["--layup", str(path)]
         if flag == "--materials":
             argv = ["--layup", SANDWICH, flag, str(path)]
         code, out, err = run_cli(capsys, "reduce", *argv)
         assert code == 2 and not out
         assert "input error" in err
+        if kind in ("truncated", "deeply-nested"):
+            assert ("malformed layup file" if flag == "--layup" else "malformed database") in err
 
     @pytest.mark.parametrize("argv", [
         ("stress", "--voltage=1e305V", "--points=2"),
@@ -164,7 +169,10 @@ class TestExitCodes:
         ("beam-static", "--voltage=1e305V", "--length=1e30", "--output", "json"),
         ("beam-static", "--voltage=1e305V", "--length=1e30", "--output", "csv"),
         ("compare", "--reference-capacitance=1e-320"),
-        ("compare", "--reference-capacitance=1e-320", "--output", "json")])
+        ("compare", "--reference-capacitance=1e-320", "--output", "json"),
+        # too large to allocate: 2**50 elements fail at once under any
+        # overcommit policy, so no memory is touched
+        ("beam-modal", f"--modes={2 ** 50}"), ("stress", f"--points={2 ** 50}")])
     def test_non_finite_result_is_computation_error(self, capsys, argv):
         code, out, err = run_cli(capsys, argv[0], "--layup", SANDWICH, *argv[1:])
         assert code == 1 and not out

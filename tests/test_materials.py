@@ -44,7 +44,7 @@ class TestConvertDToE:
         out = convert_d_to_e(m)
         np.testing.assert_allclose(out.epsS, m.epsT, rtol=1e-14)
         np.testing.assert_allclose(out.cE @ m.sE, np.eye(6), atol=1e-12)
-        assert out.is_elastic
+        assert not np.any(out.e)
 
     def test_isotropic_closed_form(self):
         e_mod, nu = 69e9, 0.33
@@ -204,6 +204,18 @@ class TestValidation:
         with pytest.raises(MaterialError, match=field):
             PlaneMaterial(name="x", **values)
 
+    def test_non_positive_plane_permittivity(self):
+        p = as_plane(builtin_materials()["Al-6061"])
+        with pytest.raises(MaterialError, match="x: eps33 must be positive"):
+            PlaneMaterial(name="x", Q11=p.Q11, Q12=p.Q12, Q22=p.Q22, e31=0.0, e32=0.0,
+                          eps33=0.0, density=p.density)
+
+    def test_as_plane_record_types(self):
+        p = as_plane(builtin_materials()["Al-6061"])
+        assert as_plane(p) is p
+        with pytest.raises(MaterialError, match="unsupported material record type object"):
+            as_plane(object())
+
 
 class TestPositiveDefinite:
     @pytest.mark.parametrize("m, expected", [
@@ -316,9 +328,14 @@ class TestMaterialDb:
         path.write_text(json.dumps({"materials": [self._al_entry(density_kg_m3=2700)]}))
         assert load_material_db(path)["x"].density == 2700.0
 
-    @pytest.mark.parametrize("doc", [{"materials": ["x"]}, {"materials": 3},
-                                     {"materials": [{"name": ["x"], "form": "e"}]},
-                                     {"materials": [{"name": "x", "form": ["e"]}]}])
+    @pytest.mark.parametrize("doc", [
+        {"materials": ["x"]}, {"materials": 3},
+        {"materials": [{"name": ["x"], "form": "e"}]},
+        {"materials": [{"name": "x", "form": ["e"]}]},
+        pytest.param({"materials": [_al_entry(provenance=[1, 2])]}, id="provenance"),
+        pytest.param({"materials": [_al_entry(cE_Pa=np.ones((5, 6)).tolist())]}, id="shape"),
+        pytest.param({"materials": [{k: v for k, v in _al_entry().items()
+                                     if k != "density_kg_m3"}]}, id="no-density")])
     def test_malformed_records_rejected(self, tmp_path, doc):
         import json
         path = tmp_path / "db.json"

@@ -144,7 +144,8 @@ def test_nsr_resultant_annihilation(section, eps, kappa, volt):
     # entirely (e.g. single homogeneous layers) only the cancellation
     # round-off survives, so certify those against the term magnitudes
     term_scale = 0.0
-    a, b = nsr_transverse_field(section).for_state(state)
+    u = np.array((state.eps, state.kappa) + state.voltages)
+    a, b = u @ nsr_transverse_field(section)
     z = section.z_interfaces
     terminal_of = {i: t for t, members in enumerate(section.terminals) for i in members}
     for i, layer in enumerate(section.layers):

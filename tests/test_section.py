@@ -94,6 +94,10 @@ class TestBuildSection:
             Section(layers=(Layer(AL, 1e-3),), width=0.01, wiring="serial")
         with pytest.raises(LayupError):
             Layer(AL, 0.0)
+        with pytest.raises(LayupError, match="poling must be -1, 0 or \\+1"):
+            Layer(AL, 1e-3, poling=2)
+        with pytest.raises(LayupError, match="at least one layer"):
+            Section(layers=(), width=0.01)
 
     def test_electroded_must_be_bool(self):
         for value in ("false", "true", 0, 1, None):
@@ -126,7 +130,10 @@ class TestBuildSection:
 
     @pytest.mark.parametrize("layup", [[], "layers", {"width_mm": 10, "layers": "PZT-5H"},
                                        {"width_mm": 10, "layers": ["PZT-5H"]},
-                                       {"width_mm": "wide", "layers": [{}]}])
+                                       {"width_mm": "wide", "layers": [{}]},
+                                       {"width_mm": 10, "layers": [{"material": "PZT-5H",
+                                                                    "thickness_mm": 0.3,
+                                                                    "poling": "up"}]}])
     def test_malformed_structure(self, layup):
         with pytest.raises(LayupError):
             build_section(layup)
@@ -162,6 +169,10 @@ class TestFiniteInputs:
         matrix[2, 2] = bad
         with pytest.raises(LayupError, match="non-finite"):
             SectionConstitutive(matrix=matrix, n_terminals=1, closure=Closure.NSR, width=0.01)
+
+    def test_matrix_shape_checked(self):
+        with pytest.raises(LayupError, match="has shape \\(3, 3\\), expected \\(4, 4\\)"):
+            SectionConstitutive(matrix=np.eye(3), n_terminals=2, closure=Closure.ND, width=0.01)
 
 
 class TestPositiveDefiniteness:
@@ -304,8 +315,7 @@ class TestCapacitance:
 class TestTransverseField:
     def test_single_homogeneous_elastic_layer(self):
         s = Section(layers=(Layer(AL, 2e-3),), width=0.01)
-        tf = nsr_transverse_field(s)
-        a, b = tf.coefficients[0]   # unit eps
+        a, b = nsr_transverse_field(s)[0]   # unit eps
         assert a == pytest.approx(-AL.Q12 / AL.Q22, rel=1e-12)
         assert abs(b) < 1e-9
         profile = recover_stress_profile(s, "nsr", GeneralizedState(eps=1e-4))
@@ -313,26 +323,18 @@ class TestTransverseField:
 
     def test_symmetric_sandwich_even_odd_split(self, sandwich):
         tf = nsr_transverse_field(sandwich)
-        a_eps, b_eps = tf.coefficients[0]
+        a_eps, b_eps = tf[0]
         scale = abs(a_eps)
         assert abs(b_eps) * sandwich.thickness <= 1e-10 * scale
         # mirror-poled pair under the shared terminal: odd field, even part vanishes
-        a_v, b_v = tf.coefficients[2]
+        a_v, b_v = tf[2]
         assert abs(a_v) <= 1e-12 * abs(b_v) * sandwich.thickness
         assert b_v == pytest.approx(6.33341625050860e-04, rel=1e-10)
 
     def test_same_poled_sandwich_even_field(self, same_poled_sandwich):
-        tf = nsr_transverse_field(same_poled_sandwich)
-        a_v, b_v = tf.coefficients[2]
+        a_v, b_v = nsr_transverse_field(same_poled_sandwich)[2]
         assert abs(b_v) * same_poled_sandwich.thickness <= 1e-12 * abs(a_v)
         assert a_v != 0.0
-
-    def test_for_state_combines_rows(self, sandwich):
-        tf = nsr_transverse_field(sandwich)
-        state = GeneralizedState(eps=2e-4, kappa=0.05, voltages=(30.0,))
-        a, b = tf.for_state(state)
-        expected = 2e-4 * tf.coefficients[0] + 0.05 * tf.coefficients[1] + 30.0 * tf.coefficients[2]
-        assert (a, b) == pytest.approx(tuple(expected), rel=1e-12)
 
 
 class TestStressProfile:
@@ -364,7 +366,7 @@ class TestStressProfile:
     def test_midpoint_matches_coefficients(self, unimorph):
         state = GeneralizedState(eps=5e-5, kappa=0.1, voltages=(50.0,))
         profile = recover_stress_profile(unimorph, "nsr", state, samples_per_layer=3)
-        z = profile.z_interfaces
+        z = unimorph.z_interfaces
         for i in range(len(unimorph.layers)):
             zm = 0.5 * (z[i] + z[i + 1])
             c0, c1 = profile.t11_coefficients[i]
@@ -555,7 +557,7 @@ class TestSharedTable:
     @staticmethod
     def _results(section, call):
         if call == "field":
-            return (nsr_transverse_field(section).coefficients,)
+            return (nsr_transverse_field(section),)
         kind, closure = call
         if kind == "reduce":
             return (reduce_section(section, closure).matrix,)
@@ -573,12 +575,6 @@ class TestSharedTable:
             for a, b in zip(got, want):
                 assert a.tobytes() == b.tobytes(), call
         assert shared._table is shared._table
-
-    def test_profile_keeps_section_interfaces(self):
-        section = build_section(MIXED_LAYUP)
-        profile = recover_stress_profile(section, "nsr", self.STATE)
-        assert type(profile.z_interfaces) is tuple
-        assert profile.z_interfaces is section.z_interfaces
 
     def test_table_is_read_only(self):
         for column in build_section(MIXED_LAYUP)._table:
