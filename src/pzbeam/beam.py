@@ -11,10 +11,9 @@ setting the mechanical block:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .materials import _Record
 from .section import _MAX_LENGTH, _MIN_LENGTH, GeneralizedState, Section, \
     SectionConstitutive, _bending_stiffness, reduce_section
 
@@ -25,23 +24,20 @@ class BeamError(ValueError):
     """Invalid beam definition or request."""
 
 
-@dataclass(frozen=True)
-class Beam:
-    """Uniform beam: reduced section, inertia and boundary condition."""
+class Beam(_Record):
+    """Uniform beam: reduced section, mass per length (kg/m), length (m) and boundary."""
 
-    constitutive: SectionConstitutive
-    mass_per_length: float    # kg/m
-    length: float             # m
-    boundary: str = "cantilever"
-
-    def __post_init__(self):
-        if not self.mass_per_length > 0.0:
+    def __init__(self, constitutive: SectionConstitutive, mass_per_length: float, length: float,
+                 boundary: str = "cantilever"):
+        if not mass_per_length > 0.0:
             raise BeamError("mass per length must be positive")
-        if not _MIN_LENGTH <= self.length <= _MAX_LENGTH:
+        if not _MIN_LENGTH <= length <= _MAX_LENGTH:
             raise BeamError(f"length must be positive and finite, between {_MIN_LENGTH:g} "
-                            f"and {_MAX_LENGTH:g} m, got {self.length}")
-        if self.boundary not in BOUNDARIES:
-            raise BeamError(f"unknown boundary {self.boundary!r}, expected one of {BOUNDARIES}")
+                            f"and {_MAX_LENGTH:g} m, got {length}")
+        if boundary not in BOUNDARIES:
+            raise BeamError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
+        vars(self).update(constitutive=constitutive, mass_per_length=mass_per_length,
+                          length=length, boundary=boundary)
 
 
 def make_beam(section: Section, closure, length: float, boundary: str = "cantilever") -> Beam:
@@ -56,10 +52,7 @@ def free_actuation_state(k: SectionConstitutive, voltages) -> GeneralizedState:
     v = np.atleast_1d(np.asarray(voltages, dtype=float))
     if v.shape != (k.n_terminals,):
         raise BeamError(f"expected {k.n_terminals} terminal voltages, got {v.shape[0]}")
-    try:
-        x = np.linalg.solve(k.kmm, -k.kme @ v)
-    except np.linalg.LinAlgError as exc:
-        raise BeamError("degenerate section") from exc
+    x = np.linalg.solve(k.kmm, -k.kme @ v)    # Kmm's symmetric part is positive definite
     return GeneralizedState(eps=float(x[0]), kappa=float(x[1]), voltages=tuple(v))
 
 

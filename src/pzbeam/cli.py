@@ -7,6 +7,11 @@ Exit codes: 0 success, 1 computation error, 2 usage or input error.
 Unit suffixes are accepted on the command line only (100mm, 2.86nF/mm,
 50V); bare numbers are SI. JSON reports carry SI values with the unit in
 the field name, plus a display block in the table units.
+
+Run as a program (`python -m pzbeam.cli`, the `pzbeam` console script), the
+module sets OPENBLAS_NUM_THREADS=1 before numpy loads unless it is set: the
+CLI's small solves never use a second BLAS thread, which costs about 90 ms
+of CPU to start. Importing the module or calling main() sets nothing.
 """
 
 from __future__ import annotations
@@ -15,8 +20,12 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
+
+if __name__ == "__main__":
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

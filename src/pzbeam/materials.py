@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,38 @@ EPS0 = 8.8541878128e-12
 
 class MaterialError(ValueError):
     """Invalid material constants or material database content."""
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record's fields are its __init__ parameters, in order; __init__ checks
+    and stores them, after which no attribute can be set or deleted
+    (functools.cached_property still works: it writes the instance __dict__).
+    Records compare and hash by the tuple of their fields, within one class.
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._astuple = attrgetter(*cls._fields)    # called as self._astuple(self)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._astuple(self) == other._astuple(other)
+
+    def __hash__(self):
+        return hash(self._astuple(self))
 
 
 def _unknown_keys_message(what: str, keys, known) -> str:
@@ -119,32 +151,26 @@ def _check_spd(m, what):
         raise MaterialError(f"{what} is not positive definite")
 
 
-def _check_3d(record, fields):
-    """Store a 3D record's matrices read-only, then check them and its density.
+def _init_3d(record, name, matrices, density, provenance):
+    """Check and store a 3D record: stiffness or compliance, piezoelectric, permittivity."""
+    fields = record._fields[1:4]
+    matrices = [_as_matrix(m, shape, f"{name}: {field}")
+                for m, field, shape in zip(matrices, fields, ((6, 6), (3, 6), (3, 3)))]
+    for m, field in zip(matrices[::2], fields[::2]):
+        _check_spd(m, f"{name}: {field}")
+    _check_density(name, density)
+    vars(record).update(zip(record._fields, (name, *matrices, density, provenance)))
 
-    fields: the stiffness or compliance, the piezoelectric, the permittivity.
+
+class Material3D(_Record):
+    """Full 3D constants in e-form (stiffness / stress-constant / clamped).
+
+    cE: 6x6 at constant field, Pa; e: 3x6, C/m^2; epsS: 3x3 at constant
+    strain, F/m; density: kg/m^3.
     """
-    for field, shape in zip(fields, ((6, 6), (3, 6), (3, 3))):
-        matrix = _as_matrix(getattr(record, field), shape, f"{record.name}: {field}")
-        object.__setattr__(record, field, matrix)
-    for field in (fields[0], fields[2]):
-        _check_spd(getattr(record, field), f"{record.name}: {field}")
-    _check_density(record.name, record.density)
 
-
-@dataclass(frozen=True)
-class Material3D:
-    """Full 3D constants in e-form (stiffness / stress-constant / clamped)."""
-
-    name: str
-    cE: np.ndarray       # 6x6 stiffness at constant field, Pa
-    e: np.ndarray        # 3x6 piezoelectric stress constants, C/m^2
-    epsS: np.ndarray     # 3x3 permittivity at constant strain, F/m
-    density: float       # kg/m^3
-    provenance: str = ""
-
-    def __post_init__(self):
-        _check_3d(self, ("cE", "e", "epsS"))
+    def __init__(self, name: str, cE, e, epsS, density: float, provenance: str = ""):
+        _init_3d(self, name, (cE, e, epsS), density, provenance)
 
     @cached_property
     def plane(self) -> PlaneMaterial:
@@ -152,19 +178,15 @@ class Material3D:
         return condense_to_plane(self)
 
 
-@dataclass(frozen=True)
-class MaterialDForm:
-    """Full 3D constants in d-form (compliance / strain-constant / free)."""
+class MaterialDForm(_Record):
+    """Full 3D constants in d-form (compliance / strain-constant / free).
 
-    name: str
-    sE: np.ndarray       # 6x6 compliance at constant field, 1/Pa
-    d: np.ndarray        # 3x6 piezoelectric strain constants, m/V
-    epsT: np.ndarray     # 3x3 permittivity at constant stress, F/m
-    density: float       # kg/m^3
-    provenance: str = ""
+    sE: 6x6 at constant field, 1/Pa; d: 3x6, m/V; epsT: 3x3 at constant
+    stress, F/m; density: kg/m^3.
+    """
 
-    def __post_init__(self):
-        _check_3d(self, ("sE", "d", "epsT"))
+    def __init__(self, name: str, sE, d, epsT, density: float, provenance: str = ""):
+        _init_3d(self, name, (sE, d, epsT), density, provenance)
 
     @cached_property
     def plane(self) -> PlaneMaterial:
@@ -172,34 +194,27 @@ class MaterialDForm:
         return condense_to_plane(convert_d_to_e(self))
 
 
-@dataclass(frozen=True)
-class PlaneMaterial:
+class PlaneMaterial(_Record):
     """Thickness-condensed in-plane constants (T33 and shears eliminated).
 
     The remaining fields are the axial/transverse normal stresses T11, T22
-    and the through-thickness electric pair E3, D3. Every constant must be
-    finite, and the in-plane stiffness [[Q11, Q12], [Q12, Q22]] must be
+    and the through-thickness electric pair E3, D3: Q11, Q12, Q22 in Pa,
+    e31, e32 in C/m^2, eps33 in F/m, density in kg/m^3. Every constant must
+    be finite, and the in-plane stiffness [[Q11, Q12], [Q12, Q22]] must be
     positive definite.
     """
 
-    name: str
-    Q11: float           # Pa
-    Q12: float           # Pa
-    Q22: float           # Pa
-    e31: float           # C/m^2
-    e32: float           # C/m^2
-    eps33: float         # F/m
-    density: float       # kg/m^3
-
-    def __post_init__(self):
+    def __init__(self, name: str, Q11: float, Q12: float, Q22: float, e31: float, e32: float,
+                 eps33: float, density: float):
+        vars(self).update(name=name, Q11=Q11, Q12=Q12, Q22=Q22, e31=e31, e32=e32,
+                          eps33=eps33, density=density)
         for field in ("Q11", "Q12", "Q22", "e31", "e32", "eps33"):
             if not math.isfinite(getattr(self, field)):
-                raise MaterialError(f"{self.name}: {field} must be finite")
-        q = np.array([[self.Q11, self.Q12], [self.Q12, self.Q22]])
-        _check_spd(q, f"{self.name}: in-plane stiffness")
-        if not self.eps33 > 0.0:
-            raise MaterialError(f"{self.name}: eps33 must be positive")
-        _check_density(self.name, self.density)
+                raise MaterialError(f"{name}: {field} must be finite")
+        _check_spd(np.array([[Q11, Q12], [Q12, Q22]]), f"{name}: in-plane stiffness")
+        if not eps33 > 0.0:
+            raise MaterialError(f"{name}: eps33 must be positive")
+        _check_density(name, density)
 
     @property
     def has_coupling(self) -> bool:
@@ -219,10 +234,7 @@ def _swap_axes_12(m: np.ndarray) -> np.ndarray:
 
 def convert_d_to_e(m: MaterialDForm) -> Material3D:
     """Convert a d-form record to e-form: cE = sE^-1, e = d cE, epsS = epsT - d cE d^T."""
-    try:
-        cE = np.linalg.inv(m.sE)
-    except np.linalg.LinAlgError as exc:
-        raise MaterialError(f"{m.name}: non-invertible compliance") from exc
+    cE = np.linalg.inv(m.sE)    # sE is symmetric positive definite, so invertible
     cE = 0.5 * (cE + cE.T)
     e = m.d @ cE
     epsS = m.epsT - m.d @ cE @ m.d.T

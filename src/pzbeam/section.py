@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
@@ -62,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .materials import PlaneMaterial, _check_number, _check_object, _check_str, \
-    _is_positive_definite, as_plane, builtin_materials
+    _is_positive_definite, _Record, as_plane, builtin_materials
 
 
 class LayupError(ValueError):
@@ -92,8 +91,7 @@ class Closure(str, Enum):
 _MIN_LENGTH, _MAX_LENGTH = 1e-30, 1e30
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(_Record):
     """One layer of the stack, bottom face first.
 
     poling is +1/-1 for the orientation of the poling axis along +z, or 0
@@ -102,27 +100,27 @@ class Layer:
     (any dielectric qualifies, coupled or not).
     """
 
-    material: PlaneMaterial
-    thickness: float
-    poling: int = 0
-    electroded: bool = False
-
-    def __post_init__(self):
-        if not _MIN_LENGTH <= self.thickness <= _MAX_LENGTH:
+    def __init__(self, material: PlaneMaterial, thickness: float, poling: int = 0,
+                 electroded: bool = False):
+        if not _MIN_LENGTH <= thickness <= _MAX_LENGTH:
             raise LayupError(f"layer thickness must be positive and finite, between "
-                             f"{_MIN_LENGTH:g} and {_MAX_LENGTH:g} m, got {self.thickness}")
-        if self.poling not in (-1, 0, 1):
-            raise LayupError(f"poling must be -1, 0 or +1, got {self.poling}")
-        if self.poling == 0 and self.material.has_coupling:
-            raise LayupError(f"layer of {self.material.name} has piezoelectric coupling "
+                             f"{_MIN_LENGTH:g} and {_MAX_LENGTH:g} m, got {thickness}")
+        if poling not in (-1, 0, 1):
+            raise LayupError(f"poling must be -1, 0 or +1, got {poling}")
+        if poling == 0 and material.has_coupling:
+            raise LayupError(f"layer of {material.name} has piezoelectric coupling "
                              "and needs a poling direction")
-        if self.electroded and self.poling == 0:
+        if electroded and poling == 0:
             raise LayupError("electroded layer needs a poling direction "
                              "(electroded elastic layer)")
+        _set = object.__setattr__    # no dict per instance: a deep stack holds many layers
+        _set(self, "material", material)
+        _set(self, "thickness", thickness)
+        _set(self, "poling", poling)
+        _set(self, "electroded", electroded)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_Record):
     """Ordered layer stack with width and electrode wiring.
 
     wiring 'parallel' joins all electroded layers into one terminal pair;
@@ -130,19 +128,16 @@ class Section:
     bottom to top).
     """
 
-    layers: tuple
-    width: float
-    wiring: str = "parallel"
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if len(self.layers) == 0:
+    def __init__(self, layers, width: float, wiring: str = "parallel"):
+        layers = tuple(layers)
+        if len(layers) == 0:
             raise LayupError("section needs at least one layer")
-        if not _MIN_LENGTH <= self.width <= _MAX_LENGTH:
+        if not _MIN_LENGTH <= width <= _MAX_LENGTH:
             raise LayupError(f"width must be positive and finite, between {_MIN_LENGTH:g} "
-                             f"and {_MAX_LENGTH:g} m, got {self.width}")
-        if self.wiring not in ("parallel", "independent"):
-            raise LayupError(f"unknown wiring {self.wiring!r}")
+                             f"and {_MAX_LENGTH:g} m, got {width}")
+        if wiring not in ("parallel", "independent"):
+            raise LayupError(f"unknown wiring {wiring!r}")
+        vars(self).update(layers=layers, width=width, wiring=wiring)
 
     @property
     def thickness(self) -> float:
@@ -175,23 +170,17 @@ class Section:
         return _layer_table(self)
 
 
-@dataclass(frozen=True)
-class GeneralizedState:
+class GeneralizedState(_Record):
     """Kinematic state of the 1D model: S11(z) = eps + z*kappa plus voltages."""
 
-    eps: float = 0.0
-    kappa: float = 0.0
-    voltages: tuple = ()
-
-    def __post_init__(self):
-        voltages = tuple(float(v) for v in self.voltages)
-        object.__setattr__(self, "voltages", voltages)
-        if not all(map(math.isfinite, (self.eps, self.kappa) + voltages)):
+    def __init__(self, eps: float = 0.0, kappa: float = 0.0, voltages=()):
+        voltages = tuple(float(v) for v in voltages)
+        vars(self).update(eps=eps, kappa=kappa, voltages=voltages)
+        if not all(map(math.isfinite, (eps, kappa) + voltages)):
             raise LayupError(f"generalized state must be finite, got {self!r}")
 
 
-@dataclass(frozen=True)
-class SectionConstitutive:
+class SectionConstitutive(_Record):
     """Assembled (2+T)x(2+T) coupled constitutive matrix.
 
     matrix rows/columns are ordered (eps, kappa, V_0, ..., V_{T-1}) against
@@ -204,23 +193,18 @@ class SectionConstitutive:
     infinite block factors without an error.
     """
 
-    matrix: np.ndarray
-    n_terminals: int
-    closure: Closure
-    width: float
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (2 + self.n_terminals,) * 2:
+    def __init__(self, matrix, n_terminals: int, closure: Closure, width: float):
+        m = np.array(matrix, dtype=float)
+        if m.shape != (2 + n_terminals,) * 2:
             raise LayupError(f"constitutive matrix has shape {m.shape}, "
-                             f"expected {(2 + self.n_terminals,) * 2}")
+                             f"expected {(2 + n_terminals,) * 2}")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        vars(self).update(matrix=m, n_terminals=n_terminals, closure=closure, width=width)
         if not np.isfinite(m).all():
             raise LayupError("constitutive matrix has non-finite entries")
         if not _is_positive_definite(self.kmm):
             raise LayupError("mechanical stiffness block is not positive definite")
-        if self.n_terminals and not _is_positive_definite(self.cq):
+        if n_terminals and not _is_positive_definite(self.cq):
             raise LayupError("capacitance block is not positive definite")
 
     @property
