@@ -51,7 +51,7 @@ def free_actuation_state(k: SectionConstitutive, voltages) -> GeneralizedState:
     """Force- and moment-free response: solve Kmm [eps; kappa] = -Kme V."""
     v = np.atleast_1d(np.asarray(voltages, dtype=float))
     if v.shape != (k.n_terminals,):
-        raise BeamError(f"expected {k.n_terminals} terminal voltages, got {v.shape[0]}")
+        raise BeamError(f"expected {k.n_terminals} terminal voltages, got shape {v.shape}")
     x = np.linalg.solve(k.kmm, -k.kme @ v)    # Kmm's symmetric part is positive definite
     return GeneralizedState(eps=float(x[0]), kappa=float(x[1]), voltages=tuple(v))
 
@@ -60,15 +60,14 @@ def cantilever_tip_deflection(beam: Beam, voltages) -> float:
     """Tip deflection kappa L^2 / 2 under the uniform induced curvature."""
     if beam.boundary != "cantilever":
         raise BeamError("tip deflection is defined for cantilever boundary")
-    return _tip_deflection(beam, free_actuation_state(beam.constitutive, voltages))
-
-
-def _tip_deflection(beam: Beam, state: GeneralizedState) -> float:
-    return state.kappa * beam.length ** 2 / 2.0
+    return free_actuation_state(beam.constitutive, voltages).kappa * beam.length ** 2 / 2.0
 
 
 def sensor_charge(k: SectionConstitutive, imposed: GeneralizedState) -> np.ndarray:
     """Short-circuit charge per unit length, q = Kme^T [eps; kappa] at V = 0."""
+    if any(imposed.voltages):
+        raise BeamError(f"sensor charge is the short-circuit charge at V = 0, "
+                        f"got voltages {imposed.voltages}")
     return k.kme.T @ np.array([imposed.eps, imposed.kappa])
 
 

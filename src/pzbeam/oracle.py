@@ -36,43 +36,28 @@ import numpy as np
 from .section import Closure, Section, SectionConstitutive
 
 
-def _sublayer_data(section: Section, n: int):
-    """Flatten the stack into n sublayers per layer with material columns."""
-    if n < 1:
-        raise ValueError(f"sublayer count must be >= 1, got {n}")
-    z = section.z_interfaces
-    n_t = section.n_terminals
-    n_u = 2 + n_t
-    centers, halves = [], []
-    cols = {k: [] for k in ("Q11", "Q12", "Q22", "e31", "e32", "eps33")}
-    ev = []   # E3 coefficient row over the unit states, poling frame
-    terminal = {i: t for t, members in enumerate(section.terminals) for i in members}
-    for i, layer in enumerate(section.layers):
-        dz = layer.thickness / n
-        row = np.zeros(n_u)
-        if i in terminal:
-            row[2 + terminal[i]] = -layer.poling / layer.thickness
-        for k in range(n):
-            centers.append(z[i] + (k + 0.5) * dz)
-            halves.append(dz / 2.0)
-            for name in cols:
-                cols[name].append(getattr(layer.material, name))
-            ev.append(row)
-    data = {name: np.array(vals) for name, vals in cols.items()}
-    data["zc"] = np.array(centers)
-    data["h"] = 2.0 * np.array(halves)
-    data["ev"] = np.array(ev)
-    return data, n_u
+def _columns(section: Section, n: int) -> tuple:
+    """Material, thickness, center and E3 columns of the stack cut into n sublayers per layer."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"sublayer count must be an integer of at least 1, got {n!r}")
+    layers = section.layers
+    ev = np.zeros((len(layers), 2 + section.n_terminals))   # E3 row per unit state, poling frame
+    for t, members in enumerate(section.terminals):
+        for i in members:
+            ev[i, 2 + t] = -layers[i].poling / layers[i].thickness
+    per_layer = [(l.material.Q11, l.material.Q12, l.material.Q22, l.material.e31,
+                  l.material.e32, l.material.eps33, l.thickness) for l in layers]
+    *material, thickness = np.repeat(per_layer, n, axis=0).T
+    h = thickness / n
+    zc = np.repeat(section.z_interfaces[:-1], n) + np.tile(np.arange(n) + 0.5, len(layers)) * h
+    return *material, h, zc, np.repeat(ev, n, axis=0)
 
 
 def _assemble(section: Section, closure: Closure, n: int):
     """Eliminate the T22 unknowns; return the Hessian and NSR multipliers."""
-    data, n_u = _sublayer_data(section, n)
+    q11, q12, q22, e31, e32, eps33, h, zc, ev = _columns(section, n)
     w = section.width
-    zc, h, ev = data["zc"], data["h"], data["ev"]
-    q11, q12, q22 = data["Q11"], data["Q12"], data["Q22"]
-    e31, e32, eps33 = data["e31"], data["e32"], data["eps33"]
-    ns = len(h)
+    ns, n_u = ev.shape
 
     mu0 = h                  # centered moments: int 1, int zeta^2
     mu2 = h ** 3 / 12.0
@@ -113,16 +98,15 @@ def _assemble(section: Section, closure: Closure, n: int):
     bac = np.einsum("sai,sa,sac->ic", b_blk, 1.0 / a_diag, c_blk)
     cac = np.einsum("sac,sa,sad->cd", c_blk, 1.0 / a_diag, c_blk)
     multipliers = -np.linalg.solve(cac, bac.T)       # (2, n_u)
-    return e_blk - bab + bac @ np.linalg.solve(cac, bac.T), multipliers.T
+    return e_blk - bab - bac @ multipliers, multipliers.T
 
 
 def discretized_oracle(section: Section, closure, n: int) -> SectionConstitutive:
     """Constitutive matrix from the discretized stationarity problem."""
     closure = Closure.coerce(closure)
     hessian, _ = _assemble(section, closure, n)
-    full = hessian.copy()
-    full[2:, 2:] *= -1.0
-    return SectionConstitutive(matrix=full, n_terminals=section.n_terminals,
+    hessian[2:, 2:] *= -1.0     # capacitance block stored positive, as reduce_section does
+    return SectionConstitutive(matrix=hessian, n_terminals=section.n_terminals,
                                closure=closure, width=section.width)
 
 

@@ -55,8 +55,10 @@ class TestFreeActuation:
 
     def test_voltage_count_checked(self, sandwich):
         k = reduce_section(sandwich, "nsr")
-        with pytest.raises(BeamError, match="voltages"):
+        with pytest.raises(BeamError, match=r"voltages, got shape \(2,\)"):
             free_actuation_state(k, [1.0, 2.0])
+        with pytest.raises(BeamError, match=r"voltages, got shape \(1, 1\)"):
+            free_actuation_state(k, [[1.0]])
 
 
 class TestTipDeflection:
@@ -117,6 +119,13 @@ class TestSensorCharge:
         assert q[0] == pytest.approx(-7.601769641523459e-06, rel=1e-10)
         # charge per unit curvature equals moment per unit voltage
         assert q[0] == pytest.approx(k.gk[0] * kappa, rel=1e-12)
+
+    def test_rejects_nonzero_voltage(self, sandwich):
+        k = reduce_section(sandwich, "nsr")
+        with pytest.raises(BeamError, match="V = 0"):
+            sensor_charge(k, GeneralizedState(kappa=0.01, voltages=(5.0,)))
+        q = sensor_charge(k, GeneralizedState(kappa=0.01, voltages=(0.0,)))
+        assert q[0] == pytest.approx(-7.601769641523459e-06, rel=1e-10)
 
 
 class TestModal:

@@ -102,6 +102,25 @@ def test_oracle_capacitance_blocks_positive(sandwich):
         assert np.min(np.linalg.eigvalsh(k.cq)) > 0.0
 
 
-def test_invalid_sublayer_count(sandwich):
-    with pytest.raises(ValueError, match="sublayer count"):
-        discretized_oracle(sandwich, "nsr", 0)
+@pytest.mark.parametrize("n", [0, -1, 2.5, "3"])
+def test_invalid_sublayer_count(sandwich, n):
+    with pytest.raises(ValueError, match="sublayer count must be an integer of at least 1"):
+        discretized_oracle(sandwich, "nsr", n)
+
+
+def test_oracle_reads_no_layer_table(sandwich, monkeypatch):
+    """The oracle is an independent check: it reads only the Section and Layer records."""
+    sections = (sandwich, deep_independent_stack(np.random.default_rng(5), 16))
+
+    def run():
+        return [discretized_oracle(s, c, 3).matrix for s in sections for c in CLOSURES] + \
+            [oracle_transverse_multipliers(s, 3) for s in sections]
+
+    expected = run()
+
+    def forbidden(self):
+        raise AssertionError("the oracle read Section._table")
+
+    monkeypatch.setattr(Section, "_table", property(forbidden))
+    for a, b in zip(run(), expected, strict=True):
+        assert np.array_equal(a, b)
