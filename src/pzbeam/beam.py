@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .materials import _Record
-from .section import _MAX_LENGTH, _MIN_LENGTH, GeneralizedState, Section, \
-    SectionConstitutive, _bending_stiffness, reduce_section
+from .section import GeneralizedState, Section, SectionConstitutive, _bending_stiffness, \
+    _check_length, reduce_section
 
 BOUNDARIES = ("cantilever", "simply-supported")
 
@@ -31,9 +31,7 @@ class Beam(_Record):
                  boundary: str = "cantilever"):
         if not mass_per_length > 0.0:
             raise BeamError("mass per length must be positive")
-        if not _MIN_LENGTH <= length <= _MAX_LENGTH:
-            raise BeamError(f"length must be positive and finite, between {_MIN_LENGTH:g} "
-                            f"and {_MAX_LENGTH:g} m, got {length}")
+        _check_length(length, "length", BeamError)
         if boundary not in BOUNDARIES:
             raise BeamError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
         vars(self).update(constitutive=constitutive, mass_per_length=mass_per_length,
@@ -63,12 +61,9 @@ def cantilever_tip_deflection(beam: Beam, voltages) -> float:
     return free_actuation_state(beam.constitutive, voltages).kappa * beam.length ** 2 / 2.0
 
 
-def sensor_charge(k: SectionConstitutive, imposed: GeneralizedState) -> np.ndarray:
-    """Short-circuit charge per unit length, q = Kme^T [eps; kappa] at V = 0."""
-    if any(imposed.voltages):
-        raise BeamError(f"sensor charge is the short-circuit charge at V = 0, "
-                        f"got voltages {imposed.voltages}")
-    return k.kme.T @ np.array([imposed.eps, imposed.kappa])
+def sensor_charge(k: SectionConstitutive, eps: float = 0.0, kappa: float = 0.0) -> np.ndarray:
+    """Short-circuit charge per unit length, q = -Kme^T [eps; kappa] at V = 0."""
+    return -(k.kme.T @ np.array([eps, kappa]))
 
 
 def _boundary_eigenvalues(boundary: str, n_modes: int) -> np.ndarray:

@@ -172,7 +172,7 @@ _RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
 
 def _reduce(section, args) -> Report:
     k = reduce_section(section, args.closure)
-    rows = [("closure", k.closure.value),
+    rows = [("closure", args.closure),
             ("terminals", k.n_terminals),
             ("A [N]", k.extension_stiffness),
             ("B [N m]", k.coupling_stiffness),
@@ -182,8 +182,8 @@ def _reduce(section, args) -> Report:
         rows.append((f"gk[{t}] [N m/V]", k.gk[t]))
         rows.append((f"Cq[{t},{t}] [nF/mm]", _fmt(k.cq[t, t] * 1e6, ".4f")))
     return Report(rows, {
-        "closure": k.closure.value,
-        "width_m": k.width,
+        "closure": args.closure,
+        "width_m": section.width,
         "n_terminals": k.n_terminals,
         "matrix_rows_N_M_q_cols_eps_kappa_V": k.matrix.tolist(),
         "display": {
@@ -199,11 +199,14 @@ def _reduce(section, args) -> Report:
 
 def _compare(section, args) -> Report:
     ref = args.reference_capacitance
-    by = compare_closures(section, reference_capacitance=ref)    # ND, NS, NSR
+    if ref is not None and not section.n_terminals:
+        raise LayupError("a reference capacitance needs a terminal (section has none)")
+    by = compare_closures(section)    # ND, NS, NSR
+    dev = [None if ref is None else (r.capacitance - ref) / ref * 100.0 for r in by]
     rows = [("quantity", "ND", "NS", "NSR"),
             ["capacitance per unit line [nF/mm]"] + [_fmt(r.capacitance * 1e6, ".4f") for r in by]]
     if ref is not None:
-        rows.append(["deviation from reference [%]"] + [_fmt(r.deviation_pct, "+.2f") for r in by])
+        rows.append(["deviation from reference [%]"] + [_fmt(d, "+.2f") for d in dev])
         rows.append(["reference [nF/mm]", _fmt(ref * 1e6, ".4f"), "", ""])
     rows.append(["free capacitance [nF/mm]"]
                 + [_fmt(r.capacitance_free * 1e6, ".4f") for r in by])
@@ -220,8 +223,8 @@ def _compare(section, args) -> Report:
                 "extension_stiffness_N": r.extension_stiffness,
                 "bending_stiffness_short_N_m2": r.bending_stiffness_short,
                 "bending_voltage_coupling_N_m_per_V": r.bending_voltage_coupling,
-                "deviation_pct": r.deviation_pct,
-            } for r in by
+                "deviation_pct": d,
+            } for r, d in zip(by, dev)
         },
     })
 
@@ -256,7 +259,7 @@ def _capacitance(section, args) -> Report:
         [(f"{args.condition} capacitance, terminal {args.terminal} [nF/mm]", cell)],
         csv_rows=[(f"{args.condition}_capacitance_terminal_{args.terminal}_nF_per_mm", cell)],
         payload={
-            "closure": k.closure.value,
+            "closure": args.closure,
             "condition": args.condition,
             "terminal": args.terminal,
             "capacitance_F_per_m": value,
@@ -274,7 +277,7 @@ def _beam_static(section, args) -> Report:
         tip = state.kappa * beam.length ** 2 / 2.0    # as cantilever_tip_deflection, one solve
         rows.append(("tip deflection [m]", tip))
     return Report(rows, csv_rows=[(a.replace(" ", "_"), b) for a, b in rows], payload={
-        "closure": beam.constitutive.closure.value,
+        "closure": args.closure,
         "length_m": beam.length,
         "boundary": beam.boundary,
         "voltages_V": list(voltages),
@@ -293,7 +296,7 @@ def _beam_modal(section, args) -> Report:
         [("mode", f"f ({args.circuit}) [Hz]", "k^2")] + rows,
         csv_rows=[("mode", "frequency_Hz", "k2")] + rows,
         payload={
-            "closure": beam.constitutive.closure.value,
+            "closure": args.closure,
             "length_m": beam.length,
             "boundary": beam.boundary,
             "circuit": args.circuit,

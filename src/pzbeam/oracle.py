@@ -106,8 +106,7 @@ def discretized_oracle(section: Section, closure, n: int) -> SectionConstitutive
     closure = Closure.coerce(closure)
     hessian, _ = _assemble(section, closure, n)
     hessian[2:, 2:] *= -1.0     # capacitance block stored positive, as reduce_section does
-    return SectionConstitutive(matrix=hessian, n_terminals=section.n_terminals,
-                               closure=closure, width=section.width)
+    return SectionConstitutive(hessian)
 
 
 def oracle_transverse_multipliers(section: Section, n: int) -> np.ndarray:

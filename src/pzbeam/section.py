@@ -19,16 +19,15 @@ Sign conventions (single source of truth for the whole package):
 * z = 0 at the geometric mid-height of the stack; layers listed bottom to
   top; positive kappa bends the beam concave toward +z.
 * N = width * int T11 dz,  M = width * int z*T11 dz.
-* Every electroded layer sees the through-thickness field E3 = -V/h in its
-  own poling frame (a -z-poled layer is hooked up with flipped leads), so
-  in stack coordinates E3 = -poling * V / h.
+* Material records hold the piezoelectric constants for poling along +z.
+  An electroded layer of thickness h sees E3 = -poling * V / h in the frame
+  of that record, so in stack coordinates every electroded layer of a
+  terminal sees E3 = -V/h (no lead is flipped), and a -z-poled layer's
+  coupling changes sign.
 * Terminal charge per unit beam length q = -width * sum_k poling_k *
   mean(D3_k), the mean taken over the layer thickness with D3 in the
-  poling frame. This makes the capacitance block positive definite.
-* The assembled constitutive matrix is stored in the layout
-      [N; M; q] = [[Kmm, Kme], [Kme^T, Cq]] [eps; kappa; V]
-  which is symmetric: the actuation coupling (force per volt) equals the
-  sensing coupling (charge per unit strain) entry for entry.
+  frame of the record. This makes the capacitance block positive definite.
+* SectionConstitutive states the law its matrix stores.
 
 Under every closure S22 is linear in z within a layer, so each closure's
 matrix has a closed form: layer sums of material x moment products, and
@@ -85,10 +84,15 @@ class Closure(str, Enum):
             raise LayupError(f"unknown closure model {value!r} (expected nd, ns or nsr)") from None
 
 
-# bounds on a layer thickness and on the width, in m: beyond them the field
-# 1/h, the moment h^3 or the width-scaled matrix entries of a physical
-# material can leave the double range
-_MIN_LENGTH, _MAX_LENGTH = 1e-30, 1e30
+def _check_length(value, what: str, error) -> None:
+    """Raise error unless value lies between 1e-30 and 1e30 m.
+
+    Beyond these bounds the field 1/h, the moment h^3 or the width-scaled
+    matrix entries of a physical material can leave the double range.
+    """
+    if not 1e-30 <= value <= 1e30:
+        raise error(f"{what} must be positive and finite, between 1e-30 and 1e+30 m, "
+                    f"got {value}")
 
 
 class Layer(_Record):
@@ -102,9 +106,7 @@ class Layer(_Record):
 
     def __init__(self, material: PlaneMaterial, thickness: float, poling: int = 0,
                  electroded: bool = False):
-        if not _MIN_LENGTH <= thickness <= _MAX_LENGTH:
-            raise LayupError(f"layer thickness must be positive and finite, between "
-                             f"{_MIN_LENGTH:g} and {_MAX_LENGTH:g} m, got {thickness}")
+        _check_length(thickness, "layer thickness", LayupError)
         if poling not in (-1, 0, 1):
             raise LayupError(f"poling must be -1, 0 or +1, got {poling}")
         if poling == 0 and material.has_coupling:
@@ -132,9 +134,7 @@ class Section(_Record):
         layers = tuple(layers)
         if len(layers) == 0:
             raise LayupError("section needs at least one layer")
-        if not _MIN_LENGTH <= width <= _MAX_LENGTH:
-            raise LayupError(f"width must be positive and finite, between {_MIN_LENGTH:g} "
-                             f"and {_MAX_LENGTH:g} m, got {width}")
+        _check_length(width, "width", LayupError)
         if wiring not in ("parallel", "independent"):
             raise LayupError(f"unknown wiring {wiring!r}")
         vars(self).update(layers=layers, width=width, wiring=wiring)
@@ -181,31 +181,38 @@ class GeneralizedState(_Record):
 
 
 class SectionConstitutive(_Record):
-    """Assembled (2+T)x(2+T) coupled constitutive matrix.
+    """Coupled section law of T terminals: a (2+T)x(2+T) matrix [[Kmm, Kme], [Kme^T, Cq]].
 
-    matrix rows/columns are ordered (eps, kappa, V_0, ..., V_{T-1}) against
-    (N, M, q_0, ..., q_{T-1}). The matrix is stored exactly as assembled,
-    without symmetrization; its symmetry is the reciprocity statement.
-    It must be finite, and its stiffness block Kmm and capacitance block Cq
-    positive definite: each block's symmetric part must have a Cholesky
-    factor, which an exactly diagonal block (Cq under ND and NS) has when its
-    diagonal is positive. Finiteness is checked first, because a NaN or
-    infinite block factors without an error.
+    With x = (eps, kappa) and V = (V_0, ..., V_{T-1}) the law is
+
+        (N, M) = Kmm x + Kme V,    q = -Kme^T x + Cq V.
+
+    The stored matrix is the Hessian of the electric enthalpy over (x, V)
+    with its -Cq block negated; its symmetry is the reciprocity statement,
+    and it is stored exactly as assembled, without symmetrization. It must
+    be finite, and Kmm and Cq positive definite: each block's symmetric part
+    must have a Cholesky factor, which an exactly diagonal block (Cq under ND
+    and NS) has when its diagonal is positive. Finiteness is checked first,
+    because a NaN or infinite block factors without an error.
     """
 
-    def __init__(self, matrix, n_terminals: int, closure: Closure, width: float):
+    def __init__(self, matrix):
         m = np.array(matrix, dtype=float)
-        if m.shape != (2 + n_terminals,) * 2:
+        if m.ndim != 2 or not 2 <= m.shape[0] == m.shape[1]:
             raise LayupError(f"constitutive matrix has shape {m.shape}, "
-                             f"expected {(2 + n_terminals,) * 2}")
+                             "expected a square matrix of order at least 2")
         m.flags.writeable = False
-        vars(self).update(matrix=m, n_terminals=n_terminals, closure=closure, width=width)
+        vars(self).update(matrix=m)
         if not np.isfinite(m).all():
             raise LayupError("constitutive matrix has non-finite entries")
         if not _is_positive_definite(self.kmm):
             raise LayupError("mechanical stiffness block is not positive definite")
-        if n_terminals and not _is_positive_definite(self.cq):
+        if not _is_positive_definite(self.cq):    # an empty Cq passes
             raise LayupError("capacitance block is not positive definite")
+
+    @property
+    def n_terminals(self) -> int:
+        return len(self.matrix) - 2
 
     @property
     def kmm(self) -> np.ndarray:
@@ -365,10 +372,11 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     """Assemble the coupled constitutive matrix under the given closure.
 
     Column j of the matrix is the response (N, M, q) to the unit generalized
-    state j. The N and M rows integrate T11 (the actuation route for the
-    voltage columns); the q rows collect the mean D3 of the electroded
-    layers (the sensing route for the strain columns), so the returned
-    matrix is symmetric only by reciprocity, not by construction.
+    state j, with q negated in the strain columns (see SectionConstitutive).
+    The N and M rows integrate T11 (the actuation route for the voltage
+    columns); the q rows collect the mean D3 of the electroded layers (the
+    sensing route for the strain columns), so the returned matrix is
+    symmetric only by reciprocity, not by construction.
     """
     closure = Closure.coerce(closure)
     t = section._table
@@ -388,12 +396,11 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
         a, b, s12, w = _nsr_field(t, n_terminals)
         k[:2] += a * s12[:2, None] + b * s12[1:, None]
         k[2:] += w[2, :, None] * a + w[3, :, None] * b
-    # q = -width * sum(poling * mean D3); mechanical columns carry the sensing
-    # sign, voltage columns the charge per volt, so the electrical block is +Cq
+    # q = -width * sum(poling * mean D3): the strain columns hold -q, the
+    # enthalpy Hessian's Kme^T, and the voltage columns +q, so the block is +Cq
     cq *= -1.0
     k *= section.width
-    return SectionConstitutive(matrix=k, n_terminals=n_terminals, closure=closure,
-                               width=section.width)
+    return SectionConstitutive(k)
 
 
 def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
@@ -480,18 +487,14 @@ class ClosureComparison(NamedTuple):
     extension_stiffness: float          # A, N
     bending_stiffness_short: float      # D condensed at N = 0, short circuit, N m^2
     bending_voltage_coupling: float     # gk of the first terminal, N m/V
-    deviation_pct: float | None = None  # (model - reference) / reference * 100
 
 
-def compare_closures(section: Section, reference_capacitance: float | None = None) -> tuple:
+def compare_closures(section: Section) -> tuple:
     """Evaluate all three closures on one section: one ClosureComparison per closure.
 
     The capacitance column holds the blocked (constitutive) capacitance of
-    terminal 0, or 0 with no terminal, which takes no reference; the percent
-    deviation from a reference is (model - reference) / reference * 100.
+    terminal 0, or 0 with no terminal.
     """
-    if reference_capacitance is not None and not section.n_terminals:
-        raise LayupError("a reference capacitance needs a terminal (section has none)")
     rows = []
     for closure in Closure:
         k = reduce_section(section, closure)
@@ -501,11 +504,8 @@ def compare_closures(section: Section, reference_capacitance: float | None = Non
             gk = float(k.gk[0])
         else:
             cap = cap_free = gk = 0.0
-        dev = None
-        if reference_capacitance is not None:
-            dev = (cap - reference_capacitance) / reference_capacitance * 100.0
         rows.append(ClosureComparison(closure, cap, cap_free, k.extension_stiffness,
-                                      _bending_stiffness(k, "short"), gk, dev))
+                                      _bending_stiffness(k, "short"), gk))
     return tuple(rows)
 
 

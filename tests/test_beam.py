@@ -1,5 +1,6 @@
 """Beam-level statics, modal analysis and coupling factors."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from pzbeam import (
     Beam,
     BeamError,
-    GeneralizedState,
     Layer,
     Section,
     cantilever_tip_deflection,
@@ -105,27 +105,37 @@ class TestTipDeflection:
 class TestSensorCharge:
     def test_zero_state(self, sandwich):
         k = reduce_section(sandwich, "nsr")
-        assert np.all(sensor_charge(k, GeneralizedState()) == 0.0)
+        assert np.all(sensor_charge(k) == 0.0)
 
     def test_extension_decoupled_on_mirror_sandwich(self, sandwich):
         k = reduce_section(sandwich, "nsr")
-        q = sensor_charge(k, GeneralizedState(eps=1e-4))
+        q = sensor_charge(k, eps=1e-4)
         assert abs(q[0]) <= 1e-12 * abs(k.gk[0]) / sandwich.thickness * 1e-4
 
     def test_curvature_fixture_and_reciprocity(self, sandwich):
         k = reduce_section(sandwich, "nsr")
         kappa = 0.01
-        q = sensor_charge(k, GeneralizedState(kappa=kappa))
-        assert q[0] == pytest.approx(-7.601769641523459e-06, rel=1e-10)
-        # charge per unit curvature equals moment per unit voltage
-        assert q[0] == pytest.approx(k.gk[0] * kappa, rel=1e-12)
+        q = sensor_charge(k, kappa=kappa)
+        assert q[0] == pytest.approx(7.601769641523459e-06, rel=1e-10)
+        # charge per unit curvature equals minus moment per unit voltage
+        assert q[0] == pytest.approx(-k.gk[0] * kappa, rel=1e-12)
 
-    def test_rejects_nonzero_voltage(self, sandwich):
-        k = reduce_section(sandwich, "nsr")
-        with pytest.raises(BeamError, match="V = 0"):
-            sensor_charge(k, GeneralizedState(kappa=0.01, voltages=(5.0,)))
-        q = sensor_charge(k, GeneralizedState(kappa=0.01, voltages=(0.0,)))
-        assert q[0] == pytest.approx(-7.601769641523459e-06, rel=1e-10)
+    @pytest.mark.parametrize("closure", ["nd", "ns", "nsr"])
+    def test_open_circuit_stiffening(self, closure):
+        # q = sensor_charge + Cq V = 0 and N = 0 at unit curvature: the moment
+        # is the open-circuit bending stiffness, (1 + k^2) times the short one
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            k = reduce_section(random_section(rng), closure)
+            t = k.n_terminals
+            system = np.zeros((1 + t, 1 + t))
+            system[0, 0], system[0, 1:] = k.kmm[0, 0], k.kme[0]
+            system[1:, 0], system[1:, 1:] = sensor_charge(k, eps=1.0), k.cq
+            rhs = -np.concatenate(([k.kmm[0, 1]], sensor_charge(k, kappa=1.0)))
+            eps, *volts = np.linalg.solve(system, rhs)
+            moment = k.kmm[1, 0] * eps + k.kmm[1, 1] + k.kme[1] @ volts
+            d_short = k.kmm[1, 1] - k.kmm[0, 1] * k.kmm[1, 0] / k.kmm[0, 0]
+            assert moment == pytest.approx((1.0 + coupling_factor(k)) * d_short, rel=1e-10)
 
 
 class TestModal:
@@ -193,7 +203,9 @@ class TestModal:
         with pytest.raises(BeamError):
             make_beam(sandwich, "nsr", -0.1)
         for length in (1e-31, 1e31):
-            with pytest.raises(BeamError, match="length"):
+            with pytest.raises(BeamError, match=re.escape(
+                    f"length must be positive and finite, between 1e-30 and 1e+30 m, "
+                    f"got {length}")):
                 make_beam(sandwich, "nsr", length)
         with pytest.raises(BeamError):
             Beam(constitutive=beam.constitutive, mass_per_length=0.0, length=0.1)

@@ -246,6 +246,24 @@ class TestReports:
         assert "capacitance per unit line" in out
         assert "-1.02" in out   # NSR deviation under the declared convention
 
+    def test_deviation_convention(self, capsys):
+        _, out, _ = run_cli(capsys, "compare", "--layup", SANDWICH, "--output", "json",
+                            "--reference-capacitance=2.86nF/mm")
+        doc = strict_json(out)
+        ref = doc["reference_capacitance_F_per_m"]
+        assert doc["deviation_convention"] == "(model - reference) / reference * 100"
+        for row in doc["closures"].values():
+            cap = row["capacitance_per_length_F_per_m"]
+            assert row["deviation_pct"] == pytest.approx((cap - ref) / ref * 100.0, rel=1e-12)
+        # the published comparison arithmetic under this convention
+        assert (2.81 - 2.86) / 2.86 * 100.0 == pytest.approx(-1.7483, abs=1e-4)
+
+    def test_no_reference_no_deviation(self, capsys):
+        _, out, _ = run_cli(capsys, "compare", "--layup", SANDWICH, "--output", "json")
+        doc = strict_json(out)
+        assert doc["reference_capacitance_F_per_m"] is None
+        assert all(row["deviation_pct"] is None for row in doc["closures"].values())
+
     def test_reduce_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "reduce", "--layup", SANDWICH, "--model", "nsr")
         _, second, _ = run_cli(capsys, "reduce", "--layup", SANDWICH, "--model", "nsr")

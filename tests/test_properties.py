@@ -1,6 +1,7 @@
 """Property-based invariants over randomized materials and layups."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from pzbeam import (
@@ -12,6 +13,7 @@ from pzbeam import (
     MaterialError,
     PlaneMaterial,
     Section,
+    as_plane,
     build_section,
     builtin_materials,
     capacitance_per_length,
@@ -28,9 +30,10 @@ CLOSURES = ("nd", "ns", "nsr")
 
 
 @st.composite
-def plane_materials(draw, piezo=True):
+def plane_materials(draw, piezo=True, isotropic=False):
+    """isotropic draws Q22 = Q11 and e32 = e31."""
     q11 = draw(st.floats(5e9, 3e11))
-    q22 = draw(st.floats(5e9, 3e11))
+    q22 = q11 if isotropic else draw(st.floats(5e9, 3e11))
     ratio = draw(st.floats(-0.9, 0.9))
     q12 = 0.0 if abs(ratio) < 1e-9 else ratio * np.sqrt(q11 * q22)
     if piezo:
@@ -38,7 +41,7 @@ def plane_materials(draw, piezo=True):
         # also keeps matrix entries clear of the subnormal range
         tidy = lambda x: 0.0 if abs(x) < 1e-6 else x
         e31 = tidy(draw(st.floats(-35.0, 35.0)))
-        e32 = tidy(draw(st.floats(-35.0, 35.0)))
+        e32 = e31 if isotropic else tidy(draw(st.floats(-35.0, 35.0)))
         eps33 = draw(st.floats(1e-9, 1e-7))
     else:
         e31 = e32 = 0.0
@@ -48,20 +51,20 @@ def plane_materials(draw, piezo=True):
 
 
 @st.composite
-def sections(draw, min_layers=1, max_layers=6):
+def sections(draw, min_layers=1, max_layers=6, isotropic=False):
     n = draw(st.integers(min_layers, max_layers))
     layers = []
     n_electroded = 0
     for _ in range(n):
         piezo = draw(st.booleans())
-        material = draw(plane_materials(piezo=piezo))
+        material = draw(plane_materials(piezo=piezo, isotropic=isotropic))
         thickness = 0.5e-3 * draw(st.floats(0.05, 20.0))
         poling = draw(st.sampled_from((-1, 1))) if piezo else 0
         electroded = piezo and draw(st.booleans())
         n_electroded += electroded
         layers.append(Layer(material, thickness, poling=poling, electroded=electroded))
     if n_electroded == 0:
-        material = draw(plane_materials(piezo=True))
+        material = draw(plane_materials(piezo=True, isotropic=isotropic))
         layers[0] = Layer(material, layers[0].thickness,
                           poling=draw(st.sampled_from((-1, 1))), electroded=True)
     wiring = draw(st.sampled_from(("parallel", "independent")))
@@ -107,6 +110,34 @@ def test_blocked_capacitance_ordering(section):
     tol = 1e-10 * caps["ns"]
     assert caps["nd"] <= caps["nsr"] + tol
     assert caps["nsr"] <= caps["ns"] + tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(section=sections(max_layers=8, isotropic=True))
+def test_in_plane_isotropy_nsr_blocked_equals_nd_free(section):
+    # with Q11 = Q22 and e31 = e32 in every layer, the blocked NSR field a + b*z
+    # solves the same two resultant equations as the ND strain eps + kappa*z
+    # released at N = M = 0, and adds the same charge
+    nsr, nd = reduce_section(section, "nsr"), reduce_section(section, "nd")
+    for t in range(nsr.n_terminals):
+        blocked = capacitance_per_length(nsr, "blocked", t)
+        assert blocked == pytest.approx(capacitance_per_length(nd, "free", t), rel=1e-12)
+
+
+def test_orthotropic_skins_break_the_isotropy_identity():
+    pzt = as_plane(builtin_materials()["PZT-5H"])
+    al = as_plane(builtin_materials()["Al-6061"])
+    skin = PlaneMaterial(name="orthotropic", Q11=pzt.Q11, Q12=pzt.Q12, Q22=pzt.Q22 / 2.0,
+                         e31=pzt.e31, e32=pzt.e32 * 0.3, eps33=pzt.eps33, density=pzt.density)
+    for material, nsr_blocked in ((pzt, 2.8310), (skin, 2.2146)):
+        section = Section(layers=(Layer(material, 0.27e-3, poling=-1, electroded=True),
+                                  Layer(al, 2.0e-3),
+                                  Layer(material, 0.27e-3, poling=+1, electroded=True)),
+                          width=17.8e-3)
+        blocked = capacitance_per_length(reduce_section(section, "nsr"), "blocked")
+        free_nd = capacitance_per_length(reduce_section(section, "nd"), "free")
+        assert round(blocked * 1e6, 4) == nsr_blocked
+        assert round(free_nd * 1e6, 4) == 2.8310
 
 
 @settings(max_examples=40, deadline=None)
