@@ -311,8 +311,7 @@ _COMMANDS = {"reduce": _reduce, "compare": _compare, "stress": _stress,
 
 
 def run(args: argparse.Namespace) -> int:
-    db = load_material_db(args.material_db_path) if args.material_db_path else None
-    section = load_layup(args.layup_path, material_db=db)
+    section = load_layup(args.layup_path, material_db=load_material_db(args.material_db_path))
     with np.errstate(over="raise", invalid="raise"):    # underflow to 0 is fine
         report = _COMMANDS[args.command](section, args)
     sys.stdout.write(_RENDERERS[args.output](args.command, report))

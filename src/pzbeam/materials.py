@@ -55,7 +55,9 @@ class _Record:
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
-        cls._astuple = attrgetter(*cls._fields)    # called as self._astuple(self)
+        get = attrgetter(*cls._fields)
+        # called as self._astuple(self); a one-field attrgetter returns the bare value
+        cls._astuple = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -75,38 +77,43 @@ class _Record:
         return hash(self._astuple(self))
 
 
-def _unknown_keys_message(what: str, keys, known) -> str:
-    """Name each key not in known, with the nearest known key when there is one."""
-    import difflib  # here, on the error path: at module level it slows every CLI start
+# JSON objects: _read_fields checks one against a table that maps each allowed
+# key to (kind, default), a kind being the types its value may have; a key
+# whose default is _REQUIRED must be present (the sentinel's type is in no kind)
 
-    parts = []
-    for key in sorted(set(keys) - set(known), key=repr):
-        near = difflib.get_close_matches(key, sorted(known), n=1) if isinstance(key, str) else []
-        parts.append(f"{key!r}" + (f" (did you mean {near[0]!r}?)" if near else ""))
-    return f"unknown {what} key{'s' if len(parts) > 1 else ''} {', '.join(parts)}"
+_REQUIRED = object()
+_STR, _NUMBER, _BOOL = frozenset((str,)), frozenset((int, float)), frozenset((bool,))
+_LIST = frozenset((list, tuple))
+_ANY = frozenset((dict, list, str, int, float, bool, type(None)))
+_KIND_NAMES = {_STR: "a string", _NUMBER: "a finite number", _BOOL: "true or false",
+               _LIST: "a list"}
 
 
-# JSON field checks shared by the material database and the layup reader: each
-# raises the caller's error type, its message led by the caller's prefix
+def _read_fields(entry, fields, what, error, prefix=""):
+    """The values of a JSON object's fields, in table order, or error naming the first fault.
 
-def _check_object(entry, what, error, known=None, prefix=""):
-    """Reject a non-object entry or, when known is given, one with a key not in known."""
+    A number must be finite: an int or a float, not a bool (an int beyond
+    float range fails). An unknown key is named with the nearest known key.
+    """
     if not isinstance(entry, dict):
         raise error(f"{prefix}{what} must be a JSON object, got {entry!r}")
-    if known is not None and entry.keys() - set(known):
-        raise error(prefix + _unknown_keys_message(what, entry, known))
-
-
-def _check_str(value, field, error, prefix=""):
-    if type(value) is not str:
-        raise error(f"{prefix}field {field!r} must be a string, got {value!r}")
-
-
-def _check_number(value, field, error, prefix=""):
-    """A finite JSON number: an int or a float, not a bool (an int beyond float range fails)."""
-    if type(value) not in (int, float) or not abs(value) < 1e308:
-        raise error(f"{prefix}field {field!r} must be a finite number, got {value!r}")
-    return value
+    if not fields.keys() >= entry.keys():
+        import difflib  # here, on the error path: at module level it slows every CLI start
+        parts = []
+        for key in sorted(entry.keys() - fields.keys(), key=repr):
+            near = (difflib.get_close_matches(key, sorted(fields), n=1)
+                    if isinstance(key, str) else [])
+            parts.append(f"{key!r}" + (f" (did you mean {near[0]!r}?)" if near else ""))
+        raise error(f"{prefix}unknown {what} key{'s' if len(parts) > 1 else ''} {', '.join(parts)}")
+    values = []
+    for key, (kind, default) in fields.items():
+        value = entry.get(key, default)
+        if type(value) not in kind or kind is _NUMBER and not abs(value) < 1e308:
+            if value is _REQUIRED:
+                raise error(f"{prefix}{what} is missing key {key!r}")
+            raise error(f"{prefix}field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        values.append(value)
+    return values
 
 
 def _as_matrix(value, shape, what):
@@ -330,31 +337,28 @@ def builtin_materials() -> dict:
     return {"PZT-5H": _pzt_5h(), "Al-6061": _al_6061()}
 
 
-# per record form: the record type and its matrix keys, in field order
-_FORMS = {"e": (Material3D, ("cE_Pa", "e_C_per_m2", "epsS_F_per_m")),
-          "d": (MaterialDForm, ("sE_per_Pa", "d_m_per_V", "epsT_F_per_m"))}
-_RECORD_KEYS = ("name", "form", "density_kg_m3", "provenance")
+# per record form: the record type and the table of its keys, the matrices in field order
+_FORMS = {form: (record_type, {"name": (_STR, _REQUIRED), "form": (_STR, _REQUIRED),
+                               **dict.fromkeys(matrix_keys, (_ANY, _REQUIRED)),
+                               "density_kg_m3": (_NUMBER, _REQUIRED), "provenance": (_STR, "")})
+          for form, record_type, matrix_keys in (
+              ("e", Material3D, ("cE_Pa", "e_C_per_m2", "epsS_F_per_m")),
+              ("d", MaterialDForm, ("sE_per_Pa", "d_m_per_V", "epsT_F_per_m")))}
 
 
 def _record_from_json(entry):
-    _check_object(entry, "entry", MaterialError, prefix="malformed database: ")
-    name = entry.get("name")
-    _check_str(name, "name", MaterialError, prefix="malformed database: entry ")
-    form = entry.get("form")
+    if not isinstance(entry, dict):
+        raise MaterialError(f"malformed database: entry must be a JSON object, got {entry!r}")
+    name, form = entry.get("name"), entry.get("form")
+    if type(name) is not str:
+        raise MaterialError(f"malformed database: entry field 'name' must be a string, "
+                            f"got {name!r}")
     if type(form) is not str or form not in _FORMS:
         raise MaterialError(f"invalid material {name}: unknown form {form!r}")
-    record_type, matrix_keys = _FORMS[form]
+    record_type, fields = _FORMS[form]
     invalid = f"invalid material {name}: "
-    _check_object(entry, f"{form}-form record", MaterialError, _RECORD_KEYS + matrix_keys,
-                  prefix=invalid)
-    try:
-        matrices = [entry[key] for key in matrix_keys]
-        density = entry["density_kg_m3"]
-    except KeyError as exc:
-        raise MaterialError(f"malformed database: entry {name!r} missing key {exc}") from exc
-    _check_number(density, "density_kg_m3", MaterialError, prefix=invalid)
-    provenance = entry.get("provenance", "")
-    _check_str(provenance, "provenance", MaterialError, prefix=invalid)
+    _, _, *matrices, density, provenance = _read_fields(entry, fields, f"{form}-form record",
+                                                        MaterialError, invalid)
     try:
         return record_type(name, *matrices, density=float(density), provenance=provenance)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -59,8 +59,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .materials import PlaneMaterial, _check_number, _check_object, _check_str, \
-    _is_positive_definite, _Record, as_plane, builtin_materials
+from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, PlaneMaterial, \
+    _is_positive_definite, _read_fields, _Record, as_plane, builtin_materials
 
 
 class LayupError(ValueError):
@@ -513,18 +513,24 @@ def compare_closures(section: Section) -> tuple:
 # layup files
 
 _POLING = {"+z": 1, "-z": -1, "none": 0}
-_LAYUP_KEYS = frozenset(("width_mm", "wiring", "layers"))
-_LAYER_KEYS = frozenset(("material", "thickness_mm", "poling", "electroded"))
+_LAYUP_FIELDS = {"width_mm": (_NUMBER, _REQUIRED), "wiring": (_STR, "parallel"),
+                 "layers": (_LIST, _REQUIRED)}
+_LAYER_FIELDS = {"material": (_STR, _REQUIRED), "thickness_mm": (_NUMBER, _REQUIRED),
+                 "poling": (_STR, "none"), "electroded": (_BOOL, False)}
 
 
 def build_section(layup: dict, materials: dict | None = None) -> Section:
     """Build a Section from a parsed layup description.
 
-    Expected keys: width_mm, wiring ('parallel' | 'independent') and layers,
-    a bottom-to-top list of {material, thickness_mm, poling, electroded}.
-    Any other key is rejected, naming the nearest known key; material,
-    poling and wiring must be strings, width_mm and thickness_mm numbers
-    (an int or a float, not a bool) and electroded a bool.
+    Expected keys: width_mm, wiring ('parallel', the default, or
+    'independent') and layers, a bottom-to-top list of {material,
+    thickness_mm, poling ('none' by default), electroded (false by
+    default)}. The layup and each layer are read by materials._read_fields:
+    an unknown key is rejected, naming the nearest known key, and so is a
+    missing required key; material, poling and wiring must be strings,
+    width_mm and thickness_mm finite numbers (an int or a float, not a bool)
+    and electroded a bool. A layer with several faults names the first in
+    that key order.
     Material names resolve against the optional materials mapping first and
     then against the built-in records, which are built only if a name is
     missing from the mapping; each distinct name resolves once per call.
@@ -532,37 +538,13 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     materials = materials or {}
     builtins = None
     planes = {}
-    _check_object(layup, "layup", LayupError, _LAYUP_KEYS)
-    try:
-        width = layup["width_mm"]
-        wiring = layup.get("wiring", "parallel")
-        entries = layup["layers"]
-    except KeyError as exc:
-        raise LayupError(f"malformed layup description: missing key {exc}") from exc
-    width = _check_number(width, "width_mm", LayupError) * 1e-3
-    _check_str(wiring, "wiring", LayupError)
-    if not isinstance(entries, (list, tuple)):
-        raise LayupError(f"layup field 'layers' must be a list, got {entries!r}")
+    width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
     if not entries:
         raise LayupError("layup has no layers")
     layers = []
     for entry in entries:
-        # one subset test per layer on the accepted path
-        if type(entry) is not dict or not _LAYER_KEYS.issuperset(entry):
-            _check_object(entry, "layer", LayupError, _LAYER_KEYS)
-        try:
-            name = entry["material"]
-            thickness = _check_number(entry["thickness_mm"], "thickness_mm", LayupError) * 1e-3
-            poling_key = entry.get("poling", "none")
-            electroded = entry.get("electroded", False)
-        except KeyError as exc:
-            raise LayupError(f"malformed layer entry: missing key {exc}") from exc
-        if type(name) is not str or type(poling_key) is not str:
-            _check_str(name, "material", LayupError)
-            _check_str(poling_key, "poling", LayupError)
-        if not isinstance(electroded, bool):
-            raise LayupError(f"layer field 'electroded' must be true or false, "
-                             f"got {electroded!r}")
+        name, thickness, poling_key, electroded = _read_fields(entry, _LAYER_FIELDS, "layer",
+                                                               LayupError)
         plane = planes.get(name)
         if plane is None and name not in materials:
             if builtins is None:
@@ -574,8 +556,8 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
         if plane is None:
             record = materials[name] if name in materials else builtins[name]
             plane = planes[name] = as_plane(record)
-        layers.append(Layer(plane, thickness, _POLING[poling_key], electroded))
-    return Section(layers=tuple(layers), width=width, wiring=wiring)
+        layers.append(Layer(plane, thickness * 1e-3, _POLING[poling_key], electroded))
+    return Section(layers=tuple(layers), width=width * 1e-3, wiring=wiring)
 
 
 def load_layup(path, material_db=None) -> Section:

@@ -162,6 +162,12 @@ class TestExitCodes:
         if kind in ("truncated", "deeply-nested"):
             assert ("malformed layup file" if flag == "--layup" else "malformed database") in err
 
+    def test_empty_materials_path_is_input_error(self, capsys):
+        # an empty path names no file; it is not the same as leaving the flag out
+        code, out, err = run_cli(capsys, "capacitance", "--layup", SANDWICH, "--materials=")
+        assert code == 2 and not out
+        assert "input error" in err
+
     @pytest.mark.parametrize("argv", [
         ("stress", "--voltage=1e305V", "--points=2"),
         ("stress", "--voltage=1e305V", "--points=2", "--output", "json"),

@@ -349,3 +349,50 @@ class TestMaterialDb:
         with pytest.warns(UserWarning):
             db = load_material_db(example)
         assert set(db) == {"PZT-5H", "Al-6061"}
+
+
+def _json_objects():
+    """A valid layup, its first layer, an e-form and a d-form record (named x)."""
+    import json
+    from pathlib import Path
+    docs = Path(__file__).resolve().parent.parent / "docs"
+    layup = json.loads((docs / "sandwich.json").read_text())
+    records = {r["form"]: dict(r, name="x") for r in
+               json.loads((docs / "materials.json").read_text())["materials"]}
+    return layup, records
+
+
+@pytest.mark.parametrize("table, key, value, message", [
+    ("layup", "widht", 17.8, "unknown layup key 'widht' \\(did you mean 'width_mm'\\?\\)"),
+    ("layup", "layers", None, "layup is missing key 'layers'"),
+    ("layup", "layers", "PZT-5H", "field 'layers' must be a list, got 'PZT-5H'"),
+    ("layer", "electrode", True, "unknown layer key 'electrode' "
+                                 "\\(did you mean 'electroded'\\?\\)"),
+    ("layer", "thickness_mm", None, "layer is missing key 'thickness_mm'"),
+    ("layer", "electroded", "true", "field 'electroded' must be true or false, got 'true'"),
+    ("e", "density", 1.0, "unknown e-form record key 'density' "
+                          "\\(did you mean 'density_kg_m3'\\?\\)"),
+    ("e", "epsS_F_per_m", None, "e-form record is missing key 'epsS_F_per_m'"),
+    ("e", "density_kg_m3", "2700", "field 'density_kg_m3' must be a finite number, got '2700'"),
+    ("d", "d31", 1.0, "unknown d-form record key 'd31'"),    # no known key is near
+    ("d", "density_kg_m3", None, "d-form record is missing key 'density_kg_m3'"),
+    ("d", "provenance", [1], "field 'provenance' must be a string, got \\[1\\]"),
+])
+def test_json_object_rejections_share_one_wording(tmp_path, table, key, value, message):
+    # value None stands for the key left out
+    import json
+    from pzbeam import LayupError, build_section
+    layup, records = _json_objects()
+    entry = {"layup": layup, "layer": layup["layers"][0], **records}[table]
+    if value is None:
+        del entry[key]
+    else:
+        entry[key] = value
+    if table in ("layup", "layer"):
+        with pytest.raises(LayupError, match=f"^{message}$"):
+            build_section(layup)
+    else:
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [entry]}))
+        with pytest.raises(MaterialError, match=f"^invalid material x: {message}$"):
+            load_material_db(path)

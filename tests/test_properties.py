@@ -1,5 +1,9 @@
 """Property-based invariants over randomized materials and layups."""
 
+import json
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -20,6 +24,7 @@ from pzbeam import (
     condense_to_plane,
     convert_d_to_e,
     discretized_oracle,
+    load_material_db,
     nsr_transverse_field,
     recover_stress_profile,
     reduce_section,
@@ -361,3 +366,28 @@ def test_json_like_layups_reduce_finitely_or_raise_typed_errors(layup):
         except LayupError:
             continue
         assert np.isfinite(matrix).all()
+
+
+# the shipped database: a d-form PZT-5H and an e-form Al-6061 record
+_SHIPPED = json.loads((Path(__file__).resolve().parent.parent / "docs" / "materials.json")
+                      .read_text())["materials"]
+_records = st.one_of(*(_objects({
+    **{key: st.just(value) for key, value in record.items()},
+    "name": st.sampled_from(("x", "y", record["name"])),
+    "form": st.sampled_from(("e", "d")),
+    "density_kg_m3": st.integers(1, 10 ** 4) | st.floats(0.0, 1e308),
+}, typo="density") for record in _SHIPPED))
+_databases = _objects({"materials": st.lists(_records, max_size=2)}, typo="material")
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_databases)
+def test_json_like_databases_load_or_raise_material_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_materials.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # a record may shadow a built-in
+        try:
+            load_material_db(path)
+        except MaterialError:
+            pass

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import pzbeam
-from pzbeam import GeneralizedState, Layer, builtin_materials, load_layup, make_beam
+from pzbeam import GeneralizedState, Layer, builtin_materials, load_layup, make_beam, \
+    reduce_section
 from pzbeam.materials import _Record
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -87,3 +88,15 @@ def test_cached_properties_stay_out_of_a_records_value():
     section, rebuilt = (load_layup(DOCS / "sandwich.json") for _ in range(2))
     assert section.terminals and section._table is section._table
     assert section == rebuilt and hash(section) == hash(rebuilt)
+
+
+def test_one_field_record_compares_as_a_tuple():
+    # SectionConstitutive holds one array: it behaves like every record that holds one
+    section = load_layup(DOCS / "sandwich.json")
+    k, equal = (reduce_section(section, "nsr") for _ in range(2))
+    assert k._fields == ("matrix",) and k._astuple(k) == (k.matrix,)
+    assert (k == k) is True
+    with pytest.raises(ValueError, match="ambiguous"):
+        k == equal
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(k)

@@ -83,6 +83,8 @@ def test_cli_import_loads_no_dataclasses_and_no_oracle():
     """)
     assert "pzbeam.cli" in added
     assert "dataclasses" not in added and "pzbeam.oracle" not in added
+    # imported where they are used: unknown-key hints and the CSV renderer
+    assert "difflib" not in added and "csv" not in added
 
 
 def test_every_export_resolves():
