@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -117,7 +116,10 @@ def _read_fields(entry, fields, what, error, prefix=""):
 
 
 def _as_matrix(value, shape, what):
-    m = np.array(value, dtype=float)
+    try:
+        m = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MaterialError(f"{what} must be a matrix of numbers: {exc}") from exc
     if m.shape != shape:
         raise MaterialError(f"{what} must have shape {shape}, got {m.shape}")
     if not np.isfinite(m).all():
@@ -346,53 +348,46 @@ _FORMS = {form: (record_type, {"name": (_STR, _REQUIRED), "form": (_STR, _REQUIR
               ("d", MaterialDForm, ("sE_per_Pa", "d_m_per_V", "epsT_F_per_m")))}
 
 
-def _record_from_json(entry):
+def _record_from_json(entry, prefix):
     if not isinstance(entry, dict):
-        raise MaterialError(f"malformed database: entry must be a JSON object, got {entry!r}")
+        raise MaterialError(f"{prefix}record must be a JSON object, got {entry!r}")
     name, form = entry.get("name"), entry.get("form")
     if type(name) is not str:
-        raise MaterialError(f"malformed database: entry field 'name' must be a string, "
-                            f"got {name!r}")
+        raise MaterialError(f"{prefix}field 'name' must be a string, got {name!r}")
     if type(form) is not str or form not in _FORMS:
         raise MaterialError(f"invalid material {name}: unknown form {form!r}")
     record_type, fields = _FORMS[form]
-    invalid = f"invalid material {name}: "
-    _, _, *matrices, density, provenance = _read_fields(entry, fields, f"{form}-form record",
-                                                        MaterialError, invalid)
-    try:
-        return record_type(name, *matrices, density=float(density), provenance=provenance)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MaterialError(f"{invalid}{exc}") from exc
+    _, _, *matrices, density, provenance = _read_fields(
+        entry, fields, f"{form}-form record", MaterialError, f"invalid material {name}: ")
+    return record_type(name, *matrices, density=float(density), provenance=provenance)
 
 
 def load_material_db(path=None) -> dict:
     """Load named material records, merging a JSON database over the built-ins.
 
-    A file entry that redefines a built-in name shadows it (with a warning);
-    duplicate names within one file are rejected.
+    The file holds one object, {"materials": [record, ...]}, read by the same
+    rule as a layup. A file record that redefines a built-in name replaces
+    it; duplicate names within one file are rejected. Every fault raises
+    MaterialError.
     """
     records = builtin_materials()
-    builtin_names = set(records)
     if path is None:
         return records
     text = Path(path).read_text()
     if not text.strip():
         return records
+    malformed = f"malformed database {path}: "
     try:
         doc = json.loads(text)
-        entries = doc["materials"]
-    except (json.JSONDecodeError, RecursionError, TypeError, KeyError) as exc:
-        raise MaterialError(f"malformed database {path}: {exc}") from exc
-    if not isinstance(entries, list):
-        raise MaterialError(f"malformed database {path}: 'materials' must be a list")
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MaterialError(f"{malformed}{exc}") from exc
+    entries, = _read_fields(doc, {"materials": (_LIST, _REQUIRED)}, "database", MaterialError,
+                            malformed)
     seen = set()
     for entry in entries:
-        record = _record_from_json(entry)
+        record = _record_from_json(entry, malformed)
         if record.name in seen:
-            raise MaterialError(f"malformed database {path}: duplicate material {record.name!r}")
+            raise MaterialError(f"{malformed}duplicate material {record.name!r}")
         seen.add(record.name)
-        if record.name in builtin_names:
-            warnings.warn(f"material database {path} shadows built-in {record.name!r}",
-                          stacklevel=2)
         records[record.name] = record
     return records

@@ -115,11 +115,8 @@ class Layer(_Record):
         if electroded and poling == 0:
             raise LayupError("electroded layer needs a poling direction "
                              "(electroded elastic layer)")
-        _set = object.__setattr__    # no dict per instance: a deep stack holds many layers
-        _set(self, "material", material)
-        _set(self, "thickness", thickness)
-        _set(self, "poling", poling)
-        _set(self, "electroded", electroded)
+        vars(self).update(material=material, thickness=thickness, poling=poling,
+                          electroded=electroded)
 
 
 class Section(_Record):

@@ -355,9 +355,13 @@ class TestReports:
                                "--materials", str(db))
         assert code == 0
 
+    def test_shipped_materials_print_nothing(self, capsys):
+        code, _, err = run_cli(capsys, "capacitance", "--layup", SANDWICH,
+                               "--materials", str(DOCS / "materials.json"))
+        assert code == 0 and err == ""
+
 
 class TestReportShape:
-    @pytest.mark.filterwarnings("ignore:material database")
     @pytest.mark.parametrize("run", GOLDEN, ids=lambda run: "-".join(
         [run["argv"][0], Path(run["argv"][2]).stem, run["argv"][4]]
         + (["db"] if "--materials" in run["argv"] else [])))

@@ -173,6 +173,11 @@ class TestValidation:
             Material3D(name="lopsided", cE=c, e=np.zeros((3, 6)),
                        epsS=EPS0 * np.eye(3), density=1.0)
 
+    def test_ragged_matrix_is_material_error(self):
+        with pytest.raises(MaterialError, match="^x: cE must be a matrix of numbers: "):
+            Material3D(name="x", cE=[[1.0, 2.0], [3.0]], e=np.zeros((3, 6)),
+                       epsS=EPS0 * np.eye(3), density=1.0)
+
     def test_density_positive(self):
         with pytest.raises(MaterialError, match="density"):
             isotropic_elastic("x", 69e9, 0.3, density=0.0)
@@ -239,7 +244,7 @@ class TestMaterialDb:
         path.write_text("")
         assert set(load_material_db(path)) == {"PZT-5H", "Al-6061"}
 
-    def test_file_shadows_builtin_with_warning(self, tmp_path):
+    def test_file_shadows_builtin(self, tmp_path):
         path = tmp_path / "db.json"
         path.write_text("""{"materials": [{"name": "Al-6061", "form": "e",
             "cE_Pa": %s, "e_C_per_m2": %s, "epsS_F_per_m": %s,
@@ -247,9 +252,7 @@ class TestMaterialDb:
             np.array(builtin_materials()["Al-6061"].cE).tolist(),
             np.zeros((3, 6)).tolist(),
             (EPS0 * np.eye(3)).tolist()))
-        with pytest.warns(UserWarning, match="shadows built-in"):
-            db = load_material_db(path)
-        assert db["Al-6061"].density == 2800.0
+        assert load_material_db(path)["Al-6061"].density == 2800.0
 
     def test_duplicate_names_rejected(self, tmp_path):
         al = builtin_materials()["Al-6061"]
@@ -279,6 +282,15 @@ class TestMaterialDb:
         path = tmp_path / "db.json"
         path.write_text(json.dumps({"materials": [entry]}))
         with pytest.raises(MaterialError, match="warped"):
+            load_material_db(path)
+
+    def test_record_error_names_record_once(self, tmp_path):
+        import json
+        entry = self._al_entry()
+        entry["cE_Pa"][0][1] *= 2.0
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [entry]}))
+        with pytest.raises(MaterialError, match="^x: cE is not symmetric$"):
             load_material_db(path)
 
     @staticmethod
@@ -346,9 +358,7 @@ class TestMaterialDb:
     def test_shipped_example_file_loads(self):
         from pathlib import Path
         example = Path(__file__).resolve().parent.parent / "docs" / "materials.json"
-        with pytest.warns(UserWarning):
-            db = load_material_db(example)
-        assert set(db) == {"PZT-5H", "Al-6061"}
+        assert set(load_material_db(example)) == {"PZT-5H", "Al-6061"}
 
 
 def _json_objects():
@@ -377,22 +387,31 @@ def _json_objects():
     ("d", "d31", 1.0, "unknown d-form record key 'd31'"),    # no known key is near
     ("d", "density_kg_m3", None, "d-form record is missing key 'density_kg_m3'"),
     ("d", "provenance", [1], "field 'provenance' must be a string, got \\[1\\]"),
+    ("database", None, [], "database must be a JSON object, got \\[\\]"),
+    ("database", "material", [], "unknown database key 'material' "
+                                 "\\(did you mean 'materials'\\?\\)"),
+    ("database", "materials", None, "database is missing key 'materials'"),
+    ("database", "materials", 3, "field 'materials' must be a list, got 3"),
 ])
 def test_json_object_rejections_share_one_wording(tmp_path, table, key, value, message):
-    # value None stands for the key left out
+    # value None stands for the key left out; key None for the whole object replaced
     import json
     from pzbeam import LayupError, build_section
     layup, records = _json_objects()
-    entry = {"layup": layup, "layer": layup["layers"][0], **records}[table]
-    if value is None:
+    entry = {"layup": layup, "layer": layup["layers"][0], "database": {"materials": []},
+             **records}[table]
+    if key is None:
+        entry = value
+    elif value is None:
         del entry[key]
     else:
         entry[key] = value
     if table in ("layup", "layer"):
         with pytest.raises(LayupError, match=f"^{message}$"):
             build_section(layup)
-    else:
-        path = tmp_path / "db.json"
-        path.write_text(json.dumps({"materials": [entry]}))
-        with pytest.raises(MaterialError, match=f"^invalid material x: {message}$"):
-            load_material_db(path)
+        return
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(entry if table == "database" else {"materials": [entry]}))
+    prefix = "malformed database .*: " if table == "database" else "invalid material x: "
+    with pytest.raises(MaterialError, match=f"^{prefix}{message}$"):
+        load_material_db(path)
