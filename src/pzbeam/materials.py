@@ -18,7 +18,8 @@ Every matrix and scalar of a record must be finite; a NaN or infinite
 constant is rejected, naming the field, before the symmetry and positive
 definiteness tests run. Positive definiteness is tested by a Cholesky
 factorization of the symmetric part 0.5 * (m + m.T), which fails exactly
-when some eigenvalue is not positive (up to round-off). An exactly diagonal
+when some eigenvalue is not positive (up to round-off); a 2x2 matrix is
+factored in closed form, with LAPACK's arithmetic. An exactly diagonal
 matrix is tested by diagonal > 0 instead: its pivots 0.5 * (d + d) have the
 sign of d, for -0.0, subnormals and an overflow to inf too. numpy factors a
 NaN or infinite matrix without an error, so the test assumes finite input.
@@ -137,13 +138,23 @@ def _is_positive_definite(m) -> bool:
     """Whether the symmetric part of a finite square matrix is positive definite.
 
     np.linalg.cholesky reads only the lower triangle, so the symmetric part
-    is factored, not m itself, unless m is exactly diagonal: then diagonal > 0
-    is the same test, in O(n^2). A NaN or infinite m factors without an
-    error: the caller checks finiteness first.
+    is factored, not m itself. A 2x2 m is factored in Python floats by the
+    steps of LAPACK's unblocked Cholesky (dpotf2), which scales the column by
+    the reciprocal of the pivot: dividing by sqrt(s00) rounds differently
+    and flips some nearly singular m. An exactly diagonal m is tested by
+    diagonal > 0, in O(n^2). A NaN or infinite m factors without an error:
+    the caller checks finiteness first.
     """
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        s00, s10, s11 = 0.5 * (a + a), 0.5 * (c + b), 0.5 * (d + d)
+        if not s00 > 0:
+            return False
+        l = s10 * (1.0 / math.sqrt(s00))
+        return s11 - l * l > 0
     d = m.diagonal()
     if np.count_nonzero(m) == np.count_nonzero(d):
-        return bool((d > 0).all())
+        return bool(np.logical_and.reduce(d > 0))
     try:
         np.linalg.cholesky(0.5 * (m + m.T))
     except np.linalg.LinAlgError:

@@ -58,6 +58,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, PlaneMaterial, \
     _is_positive_definite, _read_fields, _Record, as_plane, builtin_materials
@@ -78,10 +79,15 @@ class Closure(str, Enum):
     def coerce(cls, value) -> "Closure":
         if isinstance(value, cls):
             return value
+        if type(value) is str and value in _CLOSURES:
+            return _CLOSURES[value]
         try:
             return cls(str(value).lower())
         except ValueError:
             raise LayupError(f"unknown closure model {value!r} (expected nd, ns or nsr)") from None
+
+
+_CLOSURES = {c.value: c for c in Closure}
 
 
 def _check_length(value, what: str, error) -> None:
@@ -93,6 +99,18 @@ def _check_length(value, what: str, error) -> None:
     if not 1e-30 <= value <= 1e30:
         raise error(f"{what} must be positive and finite, between 1e-30 and 1e+30 m, "
                     f"got {value}")
+
+
+def _raise_singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+def _solve(a, b) -> np.ndarray:
+    """numpy.linalg.solve(a, b) of float64 arrays, without its dtype and shape dispatch:
+    the same LAPACK gufunc under the same error state, so the same bits and errors."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    with np.errstate(all="ignore", invalid="call", call=_raise_singular):
+        return gufunc(a, b, signature="dd->d")
 
 
 class Layer(_Record):
@@ -200,7 +218,7 @@ class SectionConstitutive(_Record):
                              "expected a square matrix of order at least 2")
         m.flags.writeable = False
         vars(self).update(matrix=m)
-        if not np.isfinite(m).all():
+        if not np.logical_and.reduce(np.isfinite(m), axis=None):
             raise LayupError("constitutive matrix has non-finite entries")
         if not _is_positive_definite(self.kmm):
             raise LayupError("mechanical stiffness block is not positive definite")
@@ -343,7 +361,7 @@ def _nsr_field(t: _LayerTable, n_terminals: int) -> tuple:
     v = _scatter(t, t.e32, n_terminals)
     rhs = np.empty((2, 2 + n_terminals))
     rhs[0, :2], rhs[1, :2], rhs[:, 2:] = s12[:2], s12[1:], v[:2]
-    a, b = np.linalg.solve(t.k, -rhs)
+    a, b = _solve(t.k, -rhs)
     return a, b, s12, v
 
 
@@ -387,7 +405,8 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     k[2:, :2] = v[2:].T     # charge of the unit strain and curvature
     # voltage j drives only terminal j's layers, so its charge is diagonal
     cq = k[2:, 2:]
-    np.fill_diagonal(cq, np.bincount(t.collect, eps33[t.members] * t.pg, minlength=n_terminals))
+    cq.flat[::n_terminals + 1] = np.bincount(t.collect, eps33[t.members] * t.pg,
+                                             minlength=n_terminals)
     if closure is Closure.NSR:
         # the transverse field of each unit state adds its T11 and its D3
         a, b, s12, w = _nsr_field(t, n_terminals)
@@ -416,7 +435,7 @@ def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
         return float(blocked)
     if condition == "free":
         g = constitutive.kme[:, terminal]
-        return float(blocked + g @ np.linalg.solve(constitutive.kmm, g))
+        return float(blocked + g @ _solve(constitutive.kmm, g))
     raise LayupError(f"unknown capacitance condition {condition!r}")
 
 
@@ -424,7 +443,7 @@ def _bending_stiffness(k: SectionConstitutive, circuit: str) -> float:
     """D - B^2/A condensed at N = 0: of Kmm, or of Kmm + Kme Cq^-1 Kme^T for 'open'."""
     kmm = k.kmm
     if circuit == "open" and k.n_terminals:
-        kmm = kmm + k.kme @ np.linalg.solve(k.cq, k.kme.T)
+        kmm = kmm + k.kme @ _solve(k.cq, k.kme.T)
     return float(kmm[1, 1] - kmm[0, 1] * kmm[1, 0] / kmm[0, 0])
 
 
@@ -452,14 +471,13 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     if closure is Closure.NSR:
         # a + b*z cancels both resultants of the T22 that S22 = 0 leaves
         n2, m2 = _integrals(t, t.q12 * eps - t.e32 * e3, t.q12 * kappa)
-        s0, s1 = np.linalg.solve(t.k, -np.array((n2, m2)))
-    t11 = np.column_stack((q11 * eps + t.q12 * s0 - e31 * e3, q11 * kappa + t.q12 * s1))
-    if closure is Closure.NS:
-        # T22 = 0 is the definition of the closure, not a computed value
-        t22 = np.zeros_like(t11)
-    else:
-        t22 = np.column_stack((t.q12 * eps + t.q22 * s0 - t.e32 * e3,
-                               t.q12 * kappa + t.q22 * s1))
+        s0, s1 = _solve(t.k, -np.array((n2, m2)))
+    t11 = np.empty((len(e3), 2))
+    t11[:, 0], t11[:, 1] = q11 * eps + t.q12 * s0 - e31 * e3, q11 * kappa + t.q12 * s1
+    # under NS, T22 = 0 is the definition of the closure, not a computed value
+    t22 = np.zeros((len(e3), 2))
+    if closure is not Closure.NS:
+        t22[:, 0], t22[:, 1] = t.q12 * eps + t.q22 * s0 - t.e32 * e3, t.q12 * kappa + t.q22 * s1
     n2, m2 = _integrals(t, t22[:, 0], t22[:, 1])
 
     # np.linspace's arithmetic without its overhead: start + i * step, with

@@ -245,8 +245,10 @@ class TestReduceSection:
     def test_closure_coercion(self, sandwich):
         assert reduce_section(sandwich, Closure.NSR).matrix == pytest.approx(
             reduce_section(sandwich, "NSR").matrix)
-        with pytest.raises(LayupError, match="closure"):
-            reduce_section(sandwich, "bogus")
+        assert Closure.coerce("NSR") is Closure.coerce("nsr") is Closure.NSR
+        for bad in ("bogus", ["nd"]):    # an unhashable value too
+            with pytest.raises(LayupError, match="closure"):
+                reduce_section(sandwich, bad)
 
     def test_benchmark_capacitances_regression(self, sandwich):
         """Frozen values of the shipped sandwich; see the acceptance suite for
@@ -526,16 +528,50 @@ class TestExactZeros:
 
 
 class TestFactorizationCount:
-    """Cq is diagonal under ND and NS, so only Kmm is factored; NSR factors both."""
+    """Kmm is 2x2 and tested in closed form, and Cq is diagonal under ND and NS,
+    so only NSR's 3x3 Cq is factored; only NSR solves a linear system."""
 
-    @pytest.mark.parametrize("closure, factorizations", [("nd", 1), ("ns", 1), ("nsr", 2)])
+    @pytest.mark.parametrize("closure, factorizations", [("nd", 0), ("ns", 0), ("nsr", 1)])
     def test_cholesky_calls_per_reduction(self, count_calls, closure, factorizations):
         section = build_section(MIXED_LAYUP)
         calls = count_calls(np.linalg, "cholesky")
         k = reduce_section(section, closure)
-        # B != 0 keeps Kmm off the diagonal, so Kmm takes the factorization
+        # B != 0 keeps Kmm off the diagonal, so its diagonal test does not apply
         assert (k.n_terminals, k.coupling_stiffness != 0.0) == (3, True)
         assert len(calls) == factorizations
+
+    @pytest.mark.parametrize("closure, solves", [("nd", 0), ("ns", 0), ("nsr", 1)])
+    def test_solve_calls_per_reduction_and_stress_recovery(self, count_calls, closure, solves):
+        section = build_section(MIXED_LAYUP)
+        calls = count_calls(pzbeam.section, "_solve")
+        reduce_section(section, closure)
+        assert len(calls) == solves
+        recover_stress_profile(section, closure, GeneralizedState(1e-4, 0.2, (1.0, -2.0, 3.0)))
+        assert len(calls) == 2 * solves
+
+
+class TestSolve:
+    """section._solve is numpy.linalg.solve without its dispatch: same bits, same error."""
+
+    def test_bit_equal_to_numpy(self):
+        k = reduce_section(build_section(MIXED_LAYUP), "nsr")
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((5, 5))
+        # kmm, kme[:, 1] and kme.T are non-contiguous views
+        for lhs, rhs in [(k.kmm, k.kme[:, 1]), (k.kmm, k.kme), (k.cq, k.kme.T),
+                         (a, rng.standard_normal(5)), (a, rng.standard_normal((5, 3)))]:
+            got, want = pzbeam.section._solve(lhs, rhs), np.linalg.solve(lhs, rhs)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("rhs", [np.ones(2), np.ones((2, 3))])
+    def test_singular_matrix_raises_linalg_error(self, rhs):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            pzbeam.section._solve(singular, rhs)
+        # the CLI's error state must not turn it into a FloatingPointError
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                pzbeam.section._solve(singular, rhs)
 
 
 class TestSharedTable:
