@@ -141,17 +141,20 @@ def _is_positive_definite(m) -> bool:
     is factored, not m itself. A 2x2 m is factored in Python floats by the
     steps of LAPACK's unblocked Cholesky (dpotf2), which scales the column by
     the reciprocal of the pivot: dividing by sqrt(s00) rounds differently
-    and flips some nearly singular m. An exactly diagonal m is tested by
+    and flips some nearly singular m. Python floats ignore numpy's error
+    state, so a 2x2 m whose symmetric part overflows goes on to numpy, which
+    warns or raises as that state says. An exactly diagonal m is tested by
     diagonal > 0, in O(n^2). A NaN or infinite m factors without an error:
     the caller checks finiteness first.
     """
     if m.shape == (2, 2):
         (a, b), (c, d) = m.tolist()
         s00, s10, s11 = 0.5 * (a + a), 0.5 * (c + b), 0.5 * (d + d)
-        if not s00 > 0:
-            return False
-        l = s10 * (1.0 / math.sqrt(s00))
-        return s11 - l * l > 0
+        if math.isfinite(s00 + s10 + s11):
+            if not s00 > 0:
+                return False
+            l = s10 * (1.0 / math.sqrt(s00))
+            return s11 - l * l > 0
     d = m.diagonal()
     if np.count_nonzero(m) == np.count_nonzero(d):
         return bool(np.logical_and.reduce(d > 0))

@@ -79,12 +79,10 @@ class Closure(str, Enum):
     def coerce(cls, value) -> "Closure":
         if isinstance(value, cls):
             return value
-        if type(value) is str and value in _CLOSURES:
-            return _CLOSURES[value]
-        try:
-            return cls(str(value).lower())
-        except ValueError:
-            raise LayupError(f"unknown closure model {value!r} (expected nd, ns or nsr)") from None
+        closure = _CLOSURES.get(str(value).lower())
+        if closure is None:
+            raise LayupError(f"unknown closure model {value!r} (expected nd, ns or nsr)")
+        return closure
 
 
 _CLOSURES = {c.value: c for c in Closure}

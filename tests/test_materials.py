@@ -233,6 +233,16 @@ class TestPositiveDefinite:
     def test_cases(self, m, expected):
         assert _is_positive_definite(np.array(m)) is expected
 
+    # the symmetric part 0.5 * (m + m.T) overflows on the diagonal, then off it
+    @pytest.mark.parametrize("m", [[[1e308, 1.0], [1.0, 1e308]], [[1.0, 1e308], [1e308, 1.0]]])
+    def test_overflowing_symmetric_part_obeys_error_state(self, m):
+        # under the CLI's error state the overflow raises, as for any order
+        for order in (2, 3):
+            big = np.eye(order)
+            big[:2, :2] = m
+            with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
+                _is_positive_definite(big)
+
 
 class TestMaterialDb:
     def test_builtins_always_available(self):

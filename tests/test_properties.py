@@ -339,11 +339,7 @@ def _nearly_singular_2x2(draw):
 @example(m=np.array([[1.875, math.sqrt(1.875)], [math.sqrt(1.875), 1.0]]))
 def test_positive_definite_helper_agrees_with_cholesky_on_2x2(m):
     # the helper factors a 2x2 in closed form; near singularity one rounding
-    # decides the answer, so it must round as LAPACK does. A symmetric part
-    # that overflows is skipped: that overflow is a known fault shared by the
-    # closed form and the factorization, to be mended in both at once
-    with np.errstate(over="ignore"):
-        assume(np.isfinite(0.5 * (m + m.T)).all())
+    # decides the answer, so it must round as LAPACK does
     assert _is_positive_definite(m) == _cholesky_factors(m)
 
 
