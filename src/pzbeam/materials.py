@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -114,6 +115,21 @@ def _read_fields(entry, fields, what, error, prefix=""):
             raise error(f"{prefix}field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
         values.append(value)
     return values
+
+
+def _read_columns(entries, fields):
+    """The columns of JSON objects in table order if _read_fields takes each, else None."""
+    if not (all(map(isinstance, entries, repeat(dict)))
+            and fields.keys() >= set().union(*entries)):
+        return None
+    columns = []
+    for key, (kind, default) in fields.items():
+        column = tuple(map(dict.get, entries, repeat(key), repeat(default)))
+        if not set(map(type, column)) <= kind or (
+                kind is _NUMBER and not all(map((1e308).__gt__, map(abs, column)))):
+            return None
+        columns.append(column)
+    return columns
 
 
 def _as_matrix(value, shape, what):

@@ -44,7 +44,8 @@ which leaves one rounding error of a mirrored pair behind (the bimorph's B = 0
 came out as 2.2e-15 N m). The moments int 1, z, z^2 of a layer of thickness h
 centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep full precision for
 a thin layer far from the mid-plane. A Section builds its read-only per-layer
-table once; its reductions and stress recoveries all read it.
+table once, from per-layer columns; its reductions and stress recoveries all
+read it, and none of them builds a Layer record.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ import json
 import math
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -61,7 +63,7 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, PlaneMaterial, \
-    _is_positive_definite, _read_fields, _Record, as_plane, builtin_materials
+    _is_positive_definite, _read_columns, _read_fields, _Record, as_plane, builtin_materials
 
 
 class LayupError(ValueError):
@@ -122,17 +124,30 @@ class Layer(_Record):
 
     def __init__(self, material: PlaneMaterial, thickness: float, poling: int = 0,
                  electroded: bool = False):
-        _check_length(thickness, "layer thickness", LayupError)
-        if poling not in (-1, 0, 1):
-            raise LayupError(f"poling must be -1, 0 or +1, got {poling}")
-        if poling == 0 and material.has_coupling:
-            raise LayupError(f"layer of {material.name} has piezoelectric coupling "
-                             "and needs a poling direction")
-        if electroded and poling == 0:
-            raise LayupError("electroded layer needs a poling direction "
-                             "(electroded elastic layer)")
+        _check_layer(material, thickness, poling, electroded)
         vars(self).update(material=material, thickness=thickness, poling=poling,
                           electroded=electroded)
+
+
+def _check_layer(material, thickness, poling, electroded) -> None:
+    """Raise LayupError unless the four fields make a valid Layer."""
+    _check_length(thickness, "layer thickness", LayupError)
+    if poling not in (-1, 0, 1):
+        raise LayupError(f"poling must be -1, 0 or +1, got {poling}")
+    if poling == 0 and material.has_coupling:
+        raise LayupError(f"layer of {material.name} has piezoelectric coupling "
+                         "and needs a poling direction")
+    if electroded and poling == 0:
+        raise LayupError("electroded layer needs a poling direction "
+                         "(electroded elastic layer)")
+
+
+def _check_section(n_layers: int, width: float, wiring: str) -> None:
+    if n_layers == 0:
+        raise LayupError("section needs at least one layer")
+    _check_length(width, "width", LayupError)
+    if wiring not in ("parallel", "independent"):
+        raise LayupError(f"unknown wiring {wiring!r}")
 
 
 class Section(_Record):
@@ -140,30 +155,40 @@ class Section(_Record):
 
     wiring 'parallel' joins all electroded layers into one terminal pair;
     'independent' gives every electroded layer its own terminal (ordered
-    bottom to top).
+    bottom to top). Its properties and table read four per-layer columns:
+    materials, thicknesses, polings and electroded flags. A section from
+    build_section holds only those, and builds its Layer records on first read.
     """
 
     def __init__(self, layers, width: float, wiring: str = "parallel"):
         layers = tuple(layers)
-        if len(layers) == 0:
-            raise LayupError("section needs at least one layer")
-        _check_length(width, "width", LayupError)
-        if wiring not in ("parallel", "independent"):
-            raise LayupError(f"unknown wiring {wiring!r}")
-        vars(self).update(layers=layers, width=width, wiring=wiring)
+        _check_section(len(layers), width, wiring)
+        vars(self).update(layers=layers, width=width, wiring=wiring,
+                          _columns=tuple(zip(*map(Layer._astuple, layers))))
+
+    @classmethod
+    def _from_columns(cls, columns: tuple, width: float, wiring: str) -> Section:
+        _check_section(len(columns[0]), width, wiring)
+        section = object.__new__(cls)
+        vars(section).update(width=width, wiring=wiring, _columns=columns)
+        return section
+
+    @cached_property
+    def layers(self) -> tuple:
+        return tuple(map(Layer, *self._columns))
 
     @property
     def thickness(self) -> float:
-        return sum(l.thickness for l in self.layers)
+        return sum(self._columns[1])
 
     @cached_property
     def z_interfaces(self) -> tuple:
-        return tuple(accumulate((l.thickness for l in self.layers), initial=-self.thickness / 2.0))
+        return tuple(accumulate(self._columns[1], initial=-self.thickness / 2.0))
 
     @cached_property
     def terminals(self) -> tuple:
         """Layer indices per terminal."""
-        electroded = tuple(i for i, l in enumerate(self.layers) if l.electroded)
+        electroded = tuple(compress(count(), self._columns[3]))
         if not electroded:
             return ()
         if self.wiring == "parallel":
@@ -176,7 +201,7 @@ class Section(_Record):
 
     @property
     def mass_per_length(self) -> float:
-        return self.width * sum(l.material.density * l.thickness for l in self.layers)
+        return self.width * sum(m.density * t for m, t in zip(*self._columns[:2]))
 
     @cached_property
     def _table(self) -> _LayerTable:
@@ -314,11 +339,11 @@ class _LayerTable(NamedTuple):
 
 def _layer_table(section: Section) -> _LayerTable:
     """The read-only table of a section (see _LayerTable)."""
-    layers, terminals = section.layers, section.terminals
-    q11, q12, q22, e31, e32, eps33, poling, h = np.fromiter(chain.from_iterable(
-        (l.material.Q11, l.material.Q12, l.material.Q22, l.material.e31, l.material.e32,
-         l.material.eps33, l.poling, l.thickness) for l in layers),
-        float, 8 * len(layers)).reshape(-1, 8).T
+    (materials, h, poling, _), terminals = section._columns, section.terminals
+    q11, q12, q22, e31, e32, eps33 = np.fromiter(chain.from_iterable(map(
+        attrgetter("Q11", "Q12", "Q22", "e31", "e32", "eps33"), materials)),
+        float, 6 * len(h)).reshape(-1, 6).T
+    h, poling = np.array(h), np.array(poling, float)
     z = np.array(section.z_interfaces)
     members, collect = np.fromiter(chain.from_iterable(
         (i, t) for t, m in enumerate(terminals) for i in m), int).reshape(-1, 2).T
@@ -538,12 +563,14 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     Expected keys: width_mm, wiring ('parallel', the default, or
     'independent') and layers, a bottom-to-top list of {material,
     thickness_mm, poling ('none' by default), electroded (false by
-    default)}. The layup and each layer are read by materials._read_fields:
-    an unknown key is rejected, naming the nearest known key, and so is a
-    missing required key; material, poling and wiring must be strings,
-    width_mm and thickness_mm finite numbers (an int or a float, not a bool)
-    and electroded a bool. A layer with several faults names the first in
-    that key order.
+    default)}. The layup is read by materials._read_fields and its layers
+    column by column by materials._read_columns, or, with a fault, one by one
+    by _read_fields as the loop reaches them, so the first fault is named. An
+    unknown key is rejected, naming the nearest known key, and so is a missing
+    required key; material, poling and wiring must be strings, width_mm and
+    thickness_mm finite numbers (an int or a float, not a bool) and electroded
+    a bool, a layer naming the first fault in that key order. Each layer is
+    checked by Layer's rule, but no Layer record is built.
     Material names resolve against the optional materials mapping first and
     then against the built-in records, which are built only if a name is
     missing from the mapping; each distinct name resolves once per call.
@@ -554,10 +581,11 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
     if not entries:
         raise LayupError("layup has no layers")
+    columns = _read_columns(entries, _LAYER_FIELDS)
+    rows = zip(*columns) if columns is not None else (
+        _read_fields(entry, _LAYER_FIELDS, "layer", LayupError) for entry in entries)
     layers = []
-    for entry in entries:
-        name, thickness, poling_key, electroded = _read_fields(entry, _LAYER_FIELDS, "layer",
-                                                               LayupError)
+    for name, thickness, poling_key, electroded in rows:
         plane = planes.get(name)
         if plane is None and name not in materials:
             if builtins is None:
@@ -569,8 +597,9 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
         if plane is None:
             record = materials[name] if name in materials else builtins[name]
             plane = planes[name] = as_plane(record)
-        layers.append(Layer(plane, thickness * 1e-3, _POLING[poling_key], electroded))
-    return Section(layers=tuple(layers), width=width * 1e-3, wiring=wiring)
+        layers.append((plane, thickness * 1e-3, _POLING[poling_key], electroded))
+        _check_layer(*layers[-1])
+    return Section._from_columns(tuple(zip(*layers)), width * 1e-3, wiring)
 
 
 def load_layup(path, material_db=None) -> Section:

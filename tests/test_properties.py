@@ -29,7 +29,8 @@ from pzbeam import (
     recover_stress_profile,
     reduce_section,
 )
-from pzbeam.materials import _is_positive_definite
+from pzbeam.materials import _is_positive_definite, _read_columns, _read_fields
+from pzbeam.section import _LAYER_FIELDS, _POLING
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -74,6 +75,47 @@ def sections(draw, min_layers=1, max_layers=6, isotropic=False):
                           poling=draw(st.sampled_from((-1, 1))), electroded=True)
     wiring = draw(st.sampled_from(("parallel", "independent")))
     return Section(layers=tuple(layers), width=draw(st.floats(2e-3, 0.1)), wiring=wiring)
+
+
+@st.composite
+def named_layups(draw):
+    """A layup dict over a mapping of named random plane materials, and that mapping."""
+    names = [f"m{i}" for i in range(draw(st.integers(1, 3)))]
+    planes = {name: draw(plane_materials(piezo=draw(st.booleans()))) for name in names}
+    layers = []
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(names))
+        poling = draw(st.sampled_from(("+z", "-z") if planes[name].has_coupling
+                                      else ("+z", "-z", "none")))
+        layer = {"material": name,
+                 "thickness_mm": draw(st.floats(0.005, 10.0) | st.integers(1, 5)),
+                 "poling": poling, "electroded": poling != "none" and draw(st.booleans())}
+        if poling == "none" and draw(st.booleans()):
+            del layer["poling"], layer["electroded"]     # the defaults
+        layers.append(layer)
+    layup = {"width_mm": draw(st.floats(1.0, 100.0) | st.integers(1, 50)),
+             "wiring": draw(st.sampled_from(("parallel", "independent"))), "layers": layers}
+    return layup, planes
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=named_layups())
+def test_build_section_equals_the_section_of_its_layer_records(drawn):
+    layup, planes = drawn
+    built = build_section(layup, planes)
+    records = Section(tuple(Layer(planes[l["material"]], l["thickness_mm"] * 1e-3,
+                                  _POLING[l.get("poling", "none")], l.get("electroded", False))
+                            for l in layup["layers"]),
+                      layup["width_mm"] * 1e-3, layup["wiring"])
+    for closure in CLOSURES:
+        assert (reduce_section(built, closure).matrix.tobytes()
+                == reduce_section(records, closure).matrix.tobytes())
+    for a, b in zip(built._table, records._table):
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
+    for name in ("thickness", "z_interfaces", "terminals", "mass_per_length"):
+        assert getattr(built, name) == getattr(records, name)
+    assert built.layers == records.layers
+    assert built == records and hash(built) == hash(records)
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,6 +440,22 @@ def test_json_like_layups_reduce_finitely_or_raise_typed_errors(layup):
         except LayupError:
             continue
         assert np.isfinite(matrix).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_layers | st.just({"material": "Al-6061", "thickness_mm": 10 ** 400}),
+                        min_size=1, max_size=4))
+@example(entries=[{"material": "Al-6061", "thickness_mm": 1.0}, "Al-6061"])
+def test_column_reader_takes_what_the_field_reader_takes(entries):
+    try:
+        rows = [_read_fields(entry, _LAYER_FIELDS, "layer", LayupError) for entry in entries]
+    except LayupError:
+        rows = None
+    columns = _read_columns(entries, _LAYER_FIELDS)
+    if rows is None:
+        assert columns is None
+    else:
+        assert columns == list(zip(*rows))
 
 
 # the shipped database: a d-form PZT-5H and an e-form Al-6061 record

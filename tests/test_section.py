@@ -130,6 +130,21 @@ class TestBuildSection:
                                              f"\\(did you mean '{hint}'\\?\\)"):
             build_section(layup)
 
+    @pytest.mark.parametrize("second", [{"thickness_mm": 1.0},
+                                        {"material": "Al-6061", "thickness_mm": 1.0, "colour": 1}])
+    def test_first_layer_fault_is_named_before_a_later_key_fault(self, second):
+        # a reader that checked every layer's keys before any layer's
+        # material would name the second layer's key instead
+        layers = [{"material": "Unobtainium", "thickness_mm": 1.0}, second]
+        with pytest.raises(LayupError, match="unknown material 'Unobtainium'"):
+            build_section({"width_mm": 10, "layers": layers})
+
+    def test_thickness_fault_is_named_before_a_later_unknown_key(self):
+        layers = [{"material": "Al-6061", "thickness_mm": 1e-40},
+                  {"material": "Al-6061", "thickness_mm": 1.0, "electrode": True}]
+        with pytest.raises(LayupError, match="layer thickness must be positive and finite"):
+            build_section({"width_mm": 10, "layers": layers})
+
     @pytest.mark.parametrize("layup", [[], "layers", {"width_mm": 10, "layers": "PZT-5H"},
                                        {"width_mm": 10, "layers": ["PZT-5H"]},
                                        {"width_mm": "wide", "layers": [{}]},
@@ -603,6 +618,28 @@ class TestSharedTable:
         for column in build_section(MIXED_LAYUP)._table:
             with pytest.raises(ValueError, match="read-only"):
                 column[(0,) * column.ndim] = 1
+
+
+class TestLayerRecords:
+    """build_section fills the section's columns; Layer records wait for .layers."""
+
+    LAYUP = {"width_mm": 12.0, "wiring": "independent", "layers": [
+        {"material": "PZT-5H", "thickness_mm": 0.2, "poling": "-z" if i % 4 else "+z",
+         "electroded": True} if i % 2 == 0 else {"material": "Al-6061", "thickness_mm": 0.5}
+        for i in range(95)]}
+
+    def test_no_records_on_the_reduction_path(self, count_calls):
+        calls = count_calls(Layer, "__init__")
+        section = build_section(self.LAYUP)
+        for closure in ("nd", "ns", "nsr"):
+            reduce_section(section, closure)
+        state = GeneralizedState(eps=1e-4, kappa=0.2,
+                                 voltages=tuple(range(section.n_terminals)))
+        recover_stress_profile(section, "nsr", state)
+        assert section.n_terminals == 48 and len(calls) == 0
+        layers = section.layers
+        assert len(calls) == 95
+        assert section.layers is layers and len(calls) == 95
 
 
 class TestMaterialMemo:
