@@ -40,16 +40,16 @@ def _columns(section: Section, n: int) -> tuple:
     """Material, thickness, center and E3 columns of the stack cut into n sublayers per layer."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"sublayer count must be an integer of at least 1, got {n!r}")
-    layers = section.layers
-    ev = np.zeros((len(layers), 2 + section.n_terminals))   # E3 row per unit state, poling frame
+    materials, thickness, poling, _ = section._columns
+    ev = np.zeros((len(thickness), 2 + section.n_terminals))  # E3 row per unit state, poling frame
     for t, members in enumerate(section.terminals):
         for i in members:
-            ev[i, 2 + t] = -layers[i].poling / layers[i].thickness
-    per_layer = [(l.material.Q11, l.material.Q12, l.material.Q22, l.material.e31,
-                  l.material.e32, l.material.eps33, l.thickness) for l in layers]
-    *material, thickness = np.repeat(per_layer, n, axis=0).T
-    h = thickness / n
-    zc = np.repeat(section.z_interfaces[:-1], n) + np.tile(np.arange(n) + 0.5, len(layers)) * h
+            ev[i, 2 + t] = -poling[i] / thickness[i]
+    per_layer = [(m.Q11, m.Q12, m.Q22, m.e31, m.e32, m.eps33, h)
+                 for m, h in zip(materials, thickness)]
+    *material, layer_h = np.repeat(per_layer, n, axis=0).T
+    h = layer_h / n
+    zc = np.repeat(section.z_interfaces[:-1], n) + np.tile(np.arange(n) + 0.5, len(thickness)) * h
     return *material, h, zc, np.repeat(ev, n, axis=0)
 
 

@@ -43,9 +43,10 @@ np.add.reduce, never @, np.dot or einsum: a BLAS dot fuses multiply and add,
 which leaves one rounding error of a mirrored pair behind (the bimorph's B = 0
 came out as 2.2e-15 N m). The moments int 1, z, z^2 of a layer of thickness h
 centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep full precision for
-a thin layer far from the mid-plane. A Section builds its read-only per-layer
-table once, from per-layer columns; its reductions and stress recoveries all
-read it, and none of them builds a Layer record.
+a thin layer far from the mid-plane. build_section checks the layer rules once
+per distinct (material, poling, electroded) kind, layer by layer only to name
+a fault. A Section builds its read-only per-layer table once, from its
+columns; no reduction or stress recovery builds a Layer record.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, count
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, PlaneMaterial, \
+from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, PlaneMaterial, \
     _is_positive_definite, _read_columns, _read_fields, _Record, as_plane, builtin_materials
 
 
@@ -193,7 +194,7 @@ class Section(_Record):
             return ()
         if self.wiring == "parallel":
             return (electroded,)
-        return tuple((i,) for i in electroded)
+        return tuple(zip(electroded))
 
     @property
     def n_terminals(self) -> int:
@@ -212,7 +213,7 @@ class GeneralizedState(_Record):
     """Kinematic state of the 1D model: S11(z) = eps + z*kappa plus voltages."""
 
     def __init__(self, eps: float = 0.0, kappa: float = 0.0, voltages=()):
-        voltages = tuple(float(v) for v in voltages)
+        voltages = tuple(map(float, voltages))
         vars(self).update(eps=eps, kappa=kappa, voltages=voltages)
         if not all(map(math.isfinite, (eps, kappa) + voltages)):
             raise LayupError(f"generalized state must be finite, got {self!r}")
@@ -339,26 +340,27 @@ class _LayerTable(NamedTuple):
 
 def _layer_table(section: Section) -> _LayerTable:
     """The read-only table of a section (see _LayerTable)."""
-    (materials, h, poling, _), terminals = section._columns, section.terminals
+    (materials, h, poling, electroded), n_terminals = section._columns, section.n_terminals
     q11, q12, q22, e31, e32, eps33 = np.fromiter(chain.from_iterable(map(
         attrgetter("Q11", "Q12", "Q22", "e31", "e32", "eps33"), materials)),
         float, 6 * len(h)).reshape(-1, 6).T
     h, poling = np.array(h), np.array(poling, float)
     z = np.array(section.z_interfaces)
-    members, collect = np.fromiter(chain.from_iterable(
-        (i, t) for t, m in enumerate(terminals) for i in m), int).reshape(-1, 2).T
+    members = np.fromiter(compress(count(), electroded), int)
+    collect = (np.arange(len(members)) if section.wiring == "independent"
+               else np.zeros(len(members), int))
     zc = z[:-1] + 0.5 * h
     m1 = h * zc
     moments = np.array((h, m1, m1 * zc + h ** 3 / 12.0))
     pm = poling[members]
     g = -pm / h[members]
     electrode = np.array((-g * h[members], -g * m1[members], pm, pm * zc[members]))
-    slots = (collect + len(terminals) * np.arange(4)[:, None]).ravel()
+    slots = (collect + n_terminals * np.arange(4)[:, None]).ravel()
     k0, k1, k2 = np.add.reduce(q22 * moments, axis=1)
     table = _LayerTable(q11, q12, q22, e31, e32, eps33, z, moments, members, collect, g, pm * g,
                         electrode, slots, np.array(((k0, k1), (k1, k2))))
     for column in table:
-        column.flags.writeable = False
+        column.setflags(write=False)
     return table
 
 
@@ -564,42 +566,70 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     'independent') and layers, a bottom-to-top list of {material,
     thickness_mm, poling ('none' by default), electroded (false by
     default)}. The layup is read by materials._read_fields and its layers
-    column by column by materials._read_columns, or, with a fault, one by one
-    by _read_fields as the loop reaches them, so the first fault is named. An
-    unknown key is rejected, naming the nearest known key, and so is a missing
-    required key; material, poling and wiring must be strings, width_mm and
-    thickness_mm finite numbers (an int or a float, not a bool) and electroded
-    a bool, a layer naming the first fault in that key order. Each layer is
-    checked by Layer's rule, but no Layer record is built.
+    column by column by materials._read_columns. An unknown key is rejected,
+    naming the nearest known key, and so is a missing required key; material,
+    poling and wiring must be strings, width_mm and thickness_mm finite
+    numbers (an int or a float, not a bool) and electroded a bool. Layer's
+    rules run once per distinct (material, poling, electroded) kind, and no
+    Layer record is built; only with a fault are the layers read and checked
+    one by one, to name the first fault, a layer's in the key order above.
     Material names resolve against the optional materials mapping first and
-    then against the built-in records, which are built only if a name is
-    missing from the mapping; each distinct name resolves once per call.
+    then against the built-in records, built only if a name is missing there.
     """
     materials = materials or {}
-    builtins = None
-    planes = {}
     width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
     if not entries:
         raise LayupError("layup has no layers")
     columns = _read_columns(entries, _LAYER_FIELDS)
+    layers = columns and _checked_columns(columns, materials)
+    if layers is None:
+        _raise_layer_fault(entries, columns, materials)
+    return Section._from_columns(layers, width * 1e-3, wiring)
+
+
+def _checked_columns(columns, materials) -> tuple | None:
+    """The section's four columns, or None if a layer breaks a rule of Layer.
+
+    The rules run once per distinct (material, poling, electroded) kind. A
+    fault, a MaterialError too, only declines: _raise_layer_fault names it.
+    """
+    names, thickness_mm, poling_keys, electroded = columns
+    thickness = tuple(map((1e-3).__rmul__, thickness_mm))     # the bits of t * 1e-3
+    if not (1e-30 <= min(thickness) and max(thickness) <= 1e30):
+        return None
+    planes, builtins = {}, None
+    for name, poling_key, el in dict.fromkeys(zip(names, poling_keys, electroded)):
+        if name not in materials:
+            builtins = builtins or builtin_materials()
+            if name not in builtins:
+                return None
+        try:
+            plane = planes[name] = as_plane(
+                materials[name] if name in materials else builtins[name])
+        except MaterialError:
+            return None
+        poling = _POLING.get(poling_key)
+        if poling is None or poling == 0 and (el or plane.has_coupling):
+            return None
+    return (tuple(map(planes.__getitem__, names)), thickness,
+            tuple(map(_POLING.__getitem__, poling_keys)), electroded)
+
+
+def _raise_layer_fault(entries, columns, materials) -> NoReturn:
+    """Raise the first fault of the layers, read and checked one by one as Layer checks them."""
     rows = zip(*columns) if columns is not None else (
         _read_fields(entry, _LAYER_FIELDS, "layer", LayupError) for entry in entries)
-    layers = []
+    builtins = None
     for name, thickness, poling_key, electroded in rows:
-        plane = planes.get(name)
-        if plane is None and name not in materials:
-            if builtins is None:
-                builtins = builtin_materials()
+        if name not in materials:
+            builtins = builtins or builtin_materials()
             if name not in builtins:
                 raise LayupError(f"unknown material {name!r}")
         if poling_key not in _POLING:
             raise LayupError(f"unknown poling {poling_key!r} (expected +z, -z or none)")
-        if plane is None:
-            record = materials[name] if name in materials else builtins[name]
-            plane = planes[name] = as_plane(record)
-        layers.append((plane, thickness * 1e-3, _POLING[poling_key], electroded))
-        _check_layer(*layers[-1])
-    return Section._from_columns(tuple(zip(*layers)), width * 1e-3, wiring)
+        plane = as_plane(materials[name] if name in materials else builtins[name])
+        _check_layer(plane, thickness * 1e-3, _POLING[poling_key], electroded)
+    raise AssertionError("the layer kinds were declined, but no layer has a fault")
 
 
 def load_layup(path, material_db=None) -> Section:

@@ -6,6 +6,7 @@ import pytest
 from pzbeam import (
     Layer,
     Section,
+    build_section,
     discretized_oracle,
     nsr_transverse_field,
     oracle_transverse_multipliers,
@@ -109,7 +110,7 @@ def test_invalid_sublayer_count(sandwich, n):
 
 
 def test_oracle_reads_no_layer_table(sandwich, monkeypatch):
-    """The oracle is an independent check: it reads only the Section and Layer records."""
+    """The oracle is an independent check: it reads only the Section's layer columns."""
     sections = (sandwich, deep_independent_stack(np.random.default_rng(5), 16))
 
     def run():
@@ -124,3 +125,20 @@ def test_oracle_reads_no_layer_table(sandwich, monkeypatch):
     monkeypatch.setattr(Section, "_table", property(forbidden))
     for a, b in zip(run(), expected, strict=True):
         assert np.array_equal(a, b)
+
+
+def test_oracle_builds_no_layer_records(count_calls):
+    layup = {"width_mm": 12.0, "wiring": "independent", "layers": [
+        {"material": "PZT-5H", "thickness_mm": 0.2, "poling": "-z" if i % 4 else "+z",
+         "electroded": True} if i % 2 == 0 else {"material": "Al-6061", "thickness_mm": 0.5}
+        for i in range(9)]}
+    built = build_section(layup)
+    calls = count_calls(Layer, "__init__")
+    got = [discretized_oracle(built, c, 3).matrix for c in CLOSURES]
+    got.append(oracle_transverse_multipliers(built, 3))
+    assert len(calls) == 0
+    records = Section(built.layers, built.width, built.wiring)
+    want = [discretized_oracle(records, c, 3).matrix for c in CLOSURES]
+    want.append(oracle_transverse_multipliers(records, 3))
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()

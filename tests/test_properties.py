@@ -30,7 +30,7 @@ from pzbeam import (
     reduce_section,
 )
 from pzbeam.materials import _is_positive_definite, _read_columns, _read_fields
-from pzbeam.section import _LAYER_FIELDS, _POLING
+from pzbeam.section import _LAYER_FIELDS, _POLING, _checked_columns, _raise_layer_fault
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -116,6 +116,77 @@ def test_build_section_equals_the_section_of_its_layer_records(drawn):
         assert getattr(built, name) == getattr(records, name)
     assert built.layers == records.layers
     assert built == records and hash(built) == hash(records)
+
+
+# thicknesses in mm whose metres lie on either side of the bounds 1e-30 and 1e30
+_EDGE_THICKNESS_MM = (1e-27, 1.0000000000000001e-27, 9.999999999999999e-28, 1e33,
+                      1.0000000000000001e33, 9.999999999999999e32, 1e-40, 1e40, 0, 0.0, -0.5)
+
+
+@st.composite
+def faulty_layups(draw):
+    """A layup over a named mapping with faults planted now and then: an unknown
+    material or poling key, an unpoled coupled or electroded layer, a
+    thickness out of bounds, a mapping value that is no record, a wrong type or
+    an unknown key; and that mapping."""
+    plant = lambda: draw(st.integers(0, 9)) == 3
+    materials = {name: draw(plane_materials(piezo=draw(st.booleans())))
+                 for name in draw(st.lists(st.sampled_from(("m0", "m1", "PZT-5H")),
+                                           min_size=1, max_size=3, unique=True))}
+    if plant():
+        materials[draw(st.sampled_from(("m1", "PZT-5H")))] = draw(
+            st.sampled_from(("not a record", None, 3, {})))
+    names = [*materials, "PZT-5H", "Al-6061"]
+    layers = []
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from(("Unobtainium", "m2") if plant() else names))
+        record = materials.get(name)
+        coupled = (record.has_coupling if isinstance(record, PlaneMaterial)
+                   else name == "PZT-5H")
+        polings = ("+z", "-z", "none") if plant() or not coupled else ("+z", "-z")
+        poling = draw(st.sampled_from(("up", "+Z", "") if plant() else polings))
+        layer = {"material": name,
+                 "thickness_mm": draw(st.sampled_from(_EDGE_THICKNESS_MM) if plant()
+                                      else st.floats(0.005, 10.0) | st.integers(1, 5)),
+                 "poling": poling,
+                 "electroded": (plant() or poling != "none") and draw(st.booleans())}
+        if poling == "none" and draw(st.booleans()):
+            del layer["poling"]                             # the default
+        if plant():
+            key = draw(st.sampled_from(sorted(_LAYER_FIELDS)))
+            layer[key] = draw(st.sampled_from((1, "1", None, True, ["+z"], math.inf)))
+        if plant():
+            layer[draw(st.sampled_from(("electrode", "colour")))] = True
+        if plant():
+            layer = draw(st.sampled_from((name, [layer], None)))
+        layers.append(layer)
+    layup = {"width_mm": draw(st.floats(1.0, 100.0)),
+             "wiring": draw(st.sampled_from(("parallel", "independent"))), "layers": layers}
+    return layup, materials
+
+
+@settings(max_examples=500, deadline=None)
+@given(drawn=faulty_layups())
+@example(drawn=({"width_mm": 10, "layers": [{"material": "Al-6061", "thickness_mm": 1e-40},
+                                            {"material": "X", "thickness_mm": 1.0}]},
+                {"X": "not a record"}))
+@example(drawn=({"width_mm": 10, "layers": [{"material": "X", "thickness_mm": 1.0,
+                                             "poling": "up"}]}, {"X": "not a record"}))
+def test_kind_checks_decline_exactly_what_the_fault_namer_names(drawn):
+    layup, materials = drawn
+    entries = layup["layers"]
+    columns = _read_columns(entries, _LAYER_FIELDS)
+    checked = columns and _checked_columns(columns, materials)
+    # the namer raises AssertionError when it finds no fault
+    with pytest.raises((AssertionError, LayupError, MaterialError)) as named:
+        _raise_layer_fault(entries, columns, materials)
+    assert (checked is None) == (named.type is not AssertionError)
+    if checked is not None:
+        assert build_section(layup, materials)._columns == checked
+    else:
+        with pytest.raises(named.type) as raised:
+            build_section(layup, materials)
+        assert (raised.type, str(raised.value)) == (named.type, str(named.value))
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,7 @@ from pzbeam import (
     GeneralizedState,
     Layer,
     LayupError,
+    MaterialError,
     PlaneMaterial,
     Section,
     SectionConstitutive,
@@ -144,6 +145,20 @@ class TestBuildSection:
                   {"material": "Al-6061", "thickness_mm": 1.0, "electrode": True}]
         with pytest.raises(LayupError, match="layer thickness must be positive and finite"):
             build_section({"width_mm": 10, "layers": layers})
+
+    @pytest.mark.parametrize("first, fault", [
+        ({"material": "Al-6061", "thickness_mm": 1e-40}, "layer thickness must be positive"),
+        ({"material": "X", "thickness_mm": 1.0, "poling": "up"}, "unknown poling 'up'")],
+        ids=["thickness", "poling"])
+    def test_layer_fault_is_named_before_a_record_fault(self, first, fault):
+        # the layer kinds are checked before the layers are checked one by
+        # one, so a bad record must not be named before an earlier fault
+        layers = [first, {"material": "X", "thickness_mm": 1.0}]
+        materials = {"X": "not a record"}
+        with pytest.raises(LayupError, match=fault):
+            build_section({"width_mm": 10, "layers": layers}, materials)
+        with pytest.raises(MaterialError, match="unsupported material record type str"):
+            build_section({"width_mm": 10, "layers": layers[1:]}, materials)
 
     @pytest.mark.parametrize("layup", [[], "layers", {"width_mm": 10, "layers": "PZT-5H"},
                                        {"width_mm": 10, "layers": ["PZT-5H"]},
@@ -640,6 +655,16 @@ class TestLayerRecords:
         layers = section.layers
         assert len(calls) == 95
         assert section.layers is layers and len(calls) == 95
+
+    def test_layers_are_checked_one_by_one_only_to_name_a_fault(self, count_calls):
+        calls = count_calls(pzbeam.section, "_check_layer")
+        build_section(self.LAYUP)
+        assert len(calls) == 0
+        bad = {**self.LAYUP, "layers": [*self.LAYUP["layers"][:-1],
+                                        {"material": "Al-6061", "thickness_mm": 1e-40}]}
+        with pytest.raises(LayupError, match="layer thickness"):
+            build_section(bad)
+        assert len(calls) == 95
 
 
 class TestMaterialMemo:
