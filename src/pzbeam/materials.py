@@ -17,12 +17,12 @@ permittivity epsT) in which vendor datasheets are published.
 Every matrix and scalar of a record must be finite; a NaN or infinite
 constant is rejected, naming the field, before the symmetry and positive
 definiteness tests run. Positive definiteness is tested by a Cholesky
-factorization of the symmetric part 0.5 * (m + m.T), which fails exactly
-when some eigenvalue is not positive (up to round-off); a 2x2 matrix is
-factored in closed form, with LAPACK's arithmetic. An exactly diagonal
-matrix is tested by diagonal > 0 instead: its pivots 0.5 * (d + d) have the
-sign of d, for -0.0, subnormals and an overflow to inf too. numpy factors a
-NaN or infinite matrix without an error, so the test assumes finite input.
+factorization of the symmetric part 0.5 * m + 0.5 * m.T, which fails exactly
+when some eigenvalue is not positive (up to round-off) and does not overflow
+for finite m; a 2x2 matrix is factored in closed form, with LAPACK's
+arithmetic. An exactly diagonal matrix is tested by diagonal > 0 instead,
+the signs of its pivots. numpy factors a NaN or infinite matrix without an
+error, so the test assumes finite input.
 """
 
 from __future__ import annotations
@@ -154,28 +154,26 @@ def _is_positive_definite(m) -> bool:
     """Whether the symmetric part of a finite square matrix is positive definite.
 
     np.linalg.cholesky reads only the lower triangle, so the symmetric part
-    is factored, not m itself. A 2x2 m is factored in Python floats by the
-    steps of LAPACK's unblocked Cholesky (dpotf2), which scales the column by
-    the reciprocal of the pivot: dividing by sqrt(s00) rounds differently
-    and flips some nearly singular m. Python floats ignore numpy's error
-    state, so a 2x2 m whose symmetric part overflows goes on to numpy, which
-    warns or raises as that state says. An exactly diagonal m is tested by
-    diagonal > 0, in O(n^2). A NaN or infinite m factors without an error:
-    the caller checks finiteness first.
+    is factored, not m itself; it is 0.5 * m + 0.5 * m.T, which cannot
+    overflow. A 2x2 m is factored in Python floats by the steps of LAPACK's
+    unblocked Cholesky (dpotf2), which scales the column by the reciprocal
+    of the pivot: dividing by sqrt(a) rounds differently and flips some
+    nearly singular m. Its first pivot is a and its last starts from d, the
+    diagonal of the symmetric part. An exactly diagonal m is tested
+    by diagonal > 0, in O(n^2). A NaN or infinite m factors without an
+    error: the caller checks finiteness first.
     """
     if m.shape == (2, 2):
         (a, b), (c, d) = m.tolist()
-        s00, s10, s11 = 0.5 * (a + a), 0.5 * (c + b), 0.5 * (d + d)
-        if math.isfinite(s00 + s10 + s11):
-            if not s00 > 0:
-                return False
-            l = s10 * (1.0 / math.sqrt(s00))
-            return s11 - l * l > 0
+        if not a > 0:
+            return False
+        l = (0.5 * c + 0.5 * b) * (1.0 / math.sqrt(a))
+        return d - l * l > 0
     d = m.diagonal()
     if np.count_nonzero(m) == np.count_nonzero(d):
         return bool(np.logical_and.reduce(d > 0))
     try:
-        np.linalg.cholesky(0.5 * (m + m.T))
+        np.linalg.cholesky(0.5 * m + 0.5 * m.T)
     except np.linalg.LinAlgError:
         return False
     return True

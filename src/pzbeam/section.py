@@ -43,9 +43,10 @@ np.add.reduce, never @, np.dot or einsum: a BLAS dot fuses multiply and add,
 which leaves one rounding error of a mirrored pair behind (the bimorph's B = 0
 came out as 2.2e-15 N m). The moments int 1, z, z^2 of a layer of thickness h
 centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep full precision for
-a thin layer far from the mid-plane. build_section checks the layer rules once
-per distinct (material, poling, electroded) kind, layer by layer only to name
-a fault. A Section builds its read-only per-layer table once, from its
+a thin layer far from the mid-plane. build_section checks each distinct
+(material, poling, electroded) kind of layer once, with the one function that
+checks layer by layer when a layer cannot be read or its thickness is out of
+bounds. A Section builds its read-only per-layer table once, from its
 columns; no reduction or stress recovery builds a Layer record.
 """
 
@@ -58,12 +59,12 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, count
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, PlaneMaterial, \
+from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, PlaneMaterial, \
     _is_positive_definite, _read_columns, _read_fields, _Record, as_plane, builtin_materials
 
 
@@ -569,67 +570,50 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     column by column by materials._read_columns. An unknown key is rejected,
     naming the nearest known key, and so is a missing required key; material,
     poling and wiring must be strings, width_mm and thickness_mm finite
-    numbers (an int or a float, not a bool) and electroded a bool. Layer's
-    rules run once per distinct (material, poling, electroded) kind, and no
-    Layer record is built; only with a fault are the layers read and checked
-    one by one, to name the first fault, a layer's in the key order above.
-    Material names resolve against the optional materials mapping first and
-    then against the built-in records, built only if a name is missing there.
+    numbers (an int or a float, not a bool) and electroded a bool. Material
+    names resolve against the optional materials mapping first and then
+    against the built-in records, built only if a name is missing there.
+    _layer_plane checks a layer: once per distinct (material, poling,
+    electroded) kind, or layer by layer if a layer cannot be read or its
+    thickness is out of bounds. Either way the first faulty layer, bottom to
+    top, is named, and no Layer record is built.
     """
     materials = materials or {}
     width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
     if not entries:
         raise LayupError("layup has no layers")
     columns = _read_columns(entries, _LAYER_FIELDS)
-    layers = columns and _checked_columns(columns, materials)
-    if layers is None:
-        _raise_layer_fault(entries, columns, materials)
-    return Section._from_columns(layers, width * 1e-3, wiring)
-
-
-def _checked_columns(columns, materials) -> tuple | None:
-    """The section's four columns, or None if a layer breaks a rule of Layer.
-
-    The rules run once per distinct (material, poling, electroded) kind. A
-    fault, a MaterialError too, only declines: _raise_layer_fault names it.
-    """
-    names, thickness_mm, poling_keys, electroded = columns
+    names, thickness_mm, poling_keys, electroded = columns or ((),) * 4
+    kinds = dict.fromkeys(zip(names, poling_keys, electroded))
+    records = (materials if columns and materials.keys() >= {name for name, _, _ in kinds}
+               else {**builtin_materials(), **materials})
     thickness = tuple(map((1e-3).__rmul__, thickness_mm))     # the bits of t * 1e-3
-    if not (1e-30 <= min(thickness) and max(thickness) <= 1e30):
-        return None
-    planes, builtins = {}, None
-    for name, poling_key, el in dict.fromkeys(zip(names, poling_keys, electroded)):
-        if name not in materials:
-            builtins = builtins or builtin_materials()
-            if name not in builtins:
-                return None
-        try:
-            plane = planes[name] = as_plane(
-                materials[name] if name in materials else builtins[name])
-        except MaterialError:
-            return None
-        poling = _POLING.get(poling_key)
-        if poling is None or poling == 0 and (el or plane.has_coupling):
-            return None
-    return (tuple(map(planes.__getitem__, names)), thickness,
-            tuple(map(_POLING.__getitem__, poling_keys)), electroded)
+    if not (columns and 1e-30 <= min(thickness) and max(thickness) <= 1e30):
+        # a layer has a fault: this raises the first
+        for entry in entries:
+            _layer_plane(records, *_read_fields(entry, _LAYER_FIELDS, "layer", LayupError))
+    # every thickness is in bounds, so the first stands for each kind's: the
+    # first kind with a fault holds the first faulty layer, and names its fault
+    planes = {name: _layer_plane(records, name, thickness_mm[0], key, el)
+              for name, key, el in kinds}
+    return Section._from_columns((tuple(map(planes.__getitem__, names)), thickness,
+                                  tuple(map(_POLING.__getitem__, poling_keys)), electroded),
+                                 width * 1e-3, wiring)
 
 
-def _raise_layer_fault(entries, columns, materials) -> NoReturn:
-    """Raise the first fault of the layers, read and checked one by one as Layer checks them."""
-    rows = zip(*columns) if columns is not None else (
-        _read_fields(entry, _LAYER_FIELDS, "layer", LayupError) for entry in entries)
-    builtins = None
-    for name, thickness, poling_key, electroded in rows:
-        if name not in materials:
-            builtins = builtins or builtin_materials()
-            if name not in builtins:
-                raise LayupError(f"unknown material {name!r}")
-        if poling_key not in _POLING:
-            raise LayupError(f"unknown poling {poling_key!r} (expected +z, -z or none)")
-        plane = as_plane(materials[name] if name in materials else builtins[name])
-        _check_layer(plane, thickness * 1e-3, _POLING[poling_key], electroded)
-    raise AssertionError("the layer kinds were declined, but no layer has a fault")
+def _layer_plane(records, name, thickness_mm, poling_key, electroded) -> PlaneMaterial:
+    """The plane material of one layup layer, checked as Layer checks it.
+
+    Raises the layer's first fault: an unknown material, an unknown poling,
+    a MaterialError of its record, then the first fault of _check_layer.
+    """
+    if name not in records:
+        raise LayupError(f"unknown material {name!r}")
+    if poling_key not in _POLING:
+        raise LayupError(f"unknown poling {poling_key!r} (expected +z, -z or none)")
+    plane = as_plane(records[name])
+    _check_layer(plane, thickness_mm * 1e-3, _POLING[poling_key], electroded)
+    return plane
 
 
 def load_layup(path, material_db=None) -> Section:

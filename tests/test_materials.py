@@ -233,15 +233,17 @@ class TestPositiveDefinite:
     def test_cases(self, m, expected):
         assert _is_positive_definite(np.array(m)) is expected
 
-    # the symmetric part 0.5 * (m + m.T) overflows on the diagonal, then off it
-    @pytest.mark.parametrize("m", [[[1e308, 1.0], [1.0, 1e308]], [[1.0, 1e308], [1e308, 1.0]]])
-    def test_overflowing_symmetric_part_obeys_error_state(self, m):
-        # under the CLI's error state the overflow raises, as for any order
+    # 0.5 * (m + m.T) would overflow on the diagonal, then off it
+    @pytest.mark.parametrize("m, expected", [([[1e308, 1.0], [1.0, 1e308]], True),
+                                             ([[1.0, 1e308], [1e308, 1.0]], False)],
+                             ids=["diagonal", "off-diagonal"])
+    def test_entries_near_the_float_limit(self, m, expected):
+        # the CLI's error state raises on an overflow, so this shows there is none
         for order in (2, 3):
             big = np.eye(order)
             big[:2, :2] = m
-            with np.errstate(over="raise", invalid="raise"), pytest.raises(FloatingPointError):
-                _is_positive_definite(big)
+            with np.errstate(over="raise"):
+                assert _is_positive_definite(big) is expected
 
 
 class TestMaterialDb:
@@ -322,6 +324,17 @@ class TestMaterialDb:
         path.write_text(json.dumps({"materials": [entry]}).replace('"BIG"', "1e400"))
         with pytest.raises(MaterialError, match="x: cE has non-finite entries"):
             load_material_db(path)
+
+    def test_overflowing_rank_one_stiffness_rejected(self, tmp_path):
+        import json
+        import warnings
+        entry = self._al_entry(name="Big", cE_Pa=np.full((6, 6), 1e308).tolist())
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [entry]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(MaterialError, match="^Big: cE is not positive definite$"):
+                load_material_db(path)
 
     @pytest.mark.parametrize("key, hint", [("epsS_F_m", "epsS_F_per_m"),
                                            ("density", "density_kg_m3"),

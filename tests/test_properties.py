@@ -30,7 +30,7 @@ from pzbeam import (
     reduce_section,
 )
 from pzbeam.materials import _is_positive_definite, _read_columns, _read_fields
-from pzbeam.section import _LAYER_FIELDS, _POLING, _checked_columns, _raise_layer_fault
+from pzbeam.section import _LAYER_FIELDS, _POLING
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -172,21 +172,19 @@ def faulty_layups(draw):
                 {"X": "not a record"}))
 @example(drawn=({"width_mm": 10, "layers": [{"material": "X", "thickness_mm": 1.0,
                                              "poling": "up"}]}, {"X": "not a record"}))
-def test_kind_checks_decline_exactly_what_the_fault_namer_names(drawn):
+def test_a_layup_fails_as_its_first_layer_that_fails_alone(drawn):
     layup, materials = drawn
-    entries = layup["layers"]
-    columns = _read_columns(entries, _LAYER_FIELDS)
-    checked = columns and _checked_columns(columns, materials)
-    # the namer raises AssertionError when it finds no fault
-    with pytest.raises((AssertionError, LayupError, MaterialError)) as named:
-        _raise_layer_fault(entries, columns, materials)
-    assert (checked is None) == (named.type is not AssertionError)
-    if checked is not None:
-        assert build_section(layup, materials)._columns == checked
-    else:
-        with pytest.raises(named.type) as raised:
-            build_section(layup, materials)
-        assert (raised.type, str(raised.value)) == (named.type, str(named.value))
+    alone = []
+    for entry in layup["layers"]:
+        try:
+            alone.append(build_section({**layup, "layers": [entry]}, materials)._columns)
+        except (LayupError, MaterialError) as fault:
+            with pytest.raises((LayupError, MaterialError)) as raised:
+                build_section(layup, materials)
+            assert (raised.type, str(raised.value)) == (type(fault), str(fault))
+            return
+    assert build_section(layup, materials)._columns == tuple(
+        sum(column, ()) for column in zip(*alone))
 
 
 @settings(max_examples=60, deadline=None)

@@ -656,10 +656,11 @@ class TestLayerRecords:
         assert len(calls) == 95
         assert section.layers is layers and len(calls) == 95
 
-    def test_layers_are_checked_one_by_one_only_to_name_a_fault(self, count_calls):
+    def test_layers_are_checked_once_per_kind_and_one_by_one_on_a_fault(self, count_calls):
         calls = count_calls(pzbeam.section, "_check_layer")
         build_section(self.LAYUP)
-        assert len(calls) == 0
+        assert len(calls) == 3      # PZT-5H poled +z and -z, bare Al-6061
+        calls.clear()
         bad = {**self.LAYUP, "layers": [*self.LAYUP["layers"][:-1],
                                         {"material": "Al-6061", "thickness_mm": 1e-40}]}
         with pytest.raises(LayupError, match="layer thickness"):
