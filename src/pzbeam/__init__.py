@@ -40,7 +40,7 @@ def __dir__():
 
 
 def _cli_process():
-    """Run pzbeam.cli as this process's __main__, as `python -m pzbeam.cli` does."""
+    """Run pzbeam.cli as __main__, as `python -m pzbeam.cli` does: it ends in os._exit."""
     import runpy
 
     runpy.run_module(f"{__name__}.cli", run_name="__main__", alter_sys=True)

@@ -2,7 +2,7 @@
 
 Commands: reduce, compare, stress, capacitance, beam-static, beam-modal.
 Reports go to stdout (deterministic, no timestamps), diagnostics to stderr.
-Exit codes: 0 success, 1 computation error, 2 usage or input error.
+Exit codes: 0 success, 1 computation or output error, 2 usage or input error.
 
 Unit suffixes are accepted on the command line only (100mm, 2.86nF/mm,
 50V); bare numbers are SI. JSON reports carry SI values with the unit in
@@ -11,12 +11,16 @@ the field name, plus a display block in the table units.
 Run as a program (`python -m pzbeam.cli`, the `pzbeam` console script), the
 module sets OPENBLAS_NUM_THREADS=1 before numpy loads unless it is set: the
 CLI's small solves never use a second BLAS thread, which costs about 90 ms
-of CPU to start. Importing the module or calling main() sets nothing.
+of CPU to start. It then runs main(), the atexit handlers and a flush of stdout
+and stderr, and leaves by os._exit, skipping the teardown of numpy and every other
+module (about 20 ms). Importing the module or calling main() does none of this.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import io
 import json
 import math
@@ -314,7 +318,13 @@ def run(args: argparse.Namespace) -> int:
     section = load_layup(args.layup_path, material_db=load_material_db(args.material_db_path))
     with np.errstate(over="raise", invalid="raise"):    # underflow to 0 is fine
         report = _COMMANDS[args.command](section, args)
-    sys.stdout.write(_RENDERERS[args.output](args.command, report))
+    text = _RENDERERS[args.output](args.command, report)
+    try:    # reported here: main() takes any other OSError for an unreadable input
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (AttributeError, OSError) as exc:    # stdout None (closed), a full disk, a broken pipe
+        print(f"pzbeam: output error: {exc if sys.stdout else 'no stdout'}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -334,4 +344,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(AttributeError, OSError):    # None, or failed and reported
+            stream.flush()
+    os._exit(code)

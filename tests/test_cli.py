@@ -2,9 +2,12 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
+import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +244,24 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "reduce" in out and "compare" in out and "beam-modal" in out
+
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    def test_failing_stdout_is_output_error(self, capsys, monkeypatch, method):
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        stdout = io.StringIO()
+        setattr(stdout, method, full)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, _, err = run_cli(capsys, "reduce", "--layup", SANDWICH)
+        assert code == 1
+        assert err == "pzbeam: output error: [Errno 28] No space left on device\n"
+
+    def test_missing_stdout_is_output_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)    # a process started with stdout closed
+        code, _, err = run_cli(capsys, "reduce", "--layup", SANDWICH)
+        assert code == 1
+        assert err == "pzbeam: output error: no stdout\n"
 
 
 class TestReports:

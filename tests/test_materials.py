@@ -336,6 +336,23 @@ class TestMaterialDb:
             with pytest.raises(MaterialError, match="^Big: cE is not positive definite$"):
                 load_material_db(path)
 
+    @pytest.mark.parametrize("k", range(-300, 297, 4))
+    def test_stiffness_scaled_to_the_float_limits_condenses(self, tmp_path, k):
+        # cE_i3 * cE_j3 overflowed from k = 144 on, and Q11 came out inf
+        import json
+        import warnings
+        al = builtin_materials()["Al-6061"]
+        entry = self._al_entry(name="Scaled", cE_Pa=(np.array(al.cE) * 10.0 ** k).tolist())
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [entry]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plane = as_plane(load_material_db(path)["Scaled"])
+        reference = as_plane(al)
+        for field in ("Q11", "Q12", "Q22"):
+            assert getattr(plane, field) == pytest.approx(getattr(reference, field) * 10.0 ** k,
+                                                          rel=1e-12)
+
     @pytest.mark.parametrize("key, hint", [("epsS_F_m", "epsS_F_per_m"),
                                            ("density", "density_kg_m3"),
                                            ("sE_per_Pa", None)])

@@ -1,11 +1,16 @@
-"""What a CLI start loads, and the one-thread BLAS default of the CLI process.
+"""What a CLI start loads, how the CLI process ends, and its one-thread BLAS default.
 
 Each check runs in a fresh interpreter, since the test process has long
 imported everything. The pzbeam CLI process sets OPENBLAS_NUM_THREADS to 1
 before numpy loads unless it is already set; importing pzbeam.cli or calling
-main() in process must leave the environment alone.
+main() in process must leave the environment alone. The process leaves by
+os._exit after its atexit handlers and a flush, so it must print exactly what
+main() prints in process and end cleanly when stdout fails.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import re
@@ -17,10 +22,12 @@ from pathlib import Path
 import pytest
 
 import pzbeam
+from pzbeam.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 LAYUPS = [ROOT / "docs" / f"{name}.json" for name in ("bimorph", "sandwich", "unimorph")]
+SANDWICH = str(ROOT / "docs" / "sandwich.json")
 
 # installed as sitecustomize: records OPENBLAS_NUM_THREADS at the moment numpy
 # is first imported, and writes it to blas.json when the interpreter exits
@@ -44,19 +51,23 @@ atexit.register(lambda: open(os.path.join(os.path.dirname(__file__), "blas.json"
 """
 
 
-def _env(blas=None, path=()):
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+def _env(blas=None, path=(), drop=()):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", *drop)}
     env["PYTHONPATH"] = os.pathsep.join([*map(str, path), str(SRC)])
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
     return env
 
 
+def _child(args, env, stdout=subprocess.PIPE):
+    return subprocess.run([sys.executable, *args], env=env, cwd=ROOT, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=120)
+
+
 def _python(args, env):
-    out = subprocess.run([sys.executable, *args], env=env, cwd=ROOT, capture_output=True,
-                         text=True, timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
+    out = _child(args, env)
+    assert out.returncode == 0, out.stderr.decode()
+    return out.stdout.decode()
 
 
 def _run_code(code):
@@ -114,12 +125,16 @@ def test_cli_process_defaults_to_one_blas_thread(tmp_path, blas, expected):
     assert _blas_at_numpy_import(tmp_path, blas, ["-m", "pzbeam.cli", *CLI_ARGS]) == [expected]
 
 
-def test_console_script_is_the_same_process(tmp_path):
+def _console_script(argv):
+    """python arguments that run the pyproject console script with argv."""
     pyproject = (ROOT / "pyproject.toml").read_text()
     module, function = re.search(r'^pzbeam = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
-    code = (f"import sys; sys.argv = ['pzbeam', *{CLI_ARGS!r}]; "
-            f"import {module}; {module}.{function}()")
-    assert _blas_at_numpy_import(tmp_path, None, ["-c", code]) == ["1"]
+    return ["-c", f"import sys; sys.argv = ['pzbeam', *{argv!r}]; "
+                  f"import {module}; {module}.{function}()"]
+
+
+def test_console_script_is_the_same_process(tmp_path):
+    assert _blas_at_numpy_import(tmp_path, None, _console_script(CLI_ARGS)) == ["1"]
 
 
 def test_importing_and_calling_main_leave_the_environment_alone():
@@ -139,3 +154,86 @@ def test_stdout_does_not_depend_on_blas_threads(layup):
     for args in (["reduce", "--output", "json"], ["compare", "--output", "json"]):
         argv = ["-m", "pzbeam.cli", *args, "--layup", str(layup)]
         assert _python(argv, _env()) == _python(argv, _env("2"))
+
+
+def _in_process(argv):
+    """main(argv) run here: exit code, stdout bytes, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+_ARGVS = [[command, "--layup", SANDWICH, "--output", fmt]
+          for command in ("reduce", "compare", "stress", "capacitance", "beam-static",
+                          "beam-modal")
+          for fmt in ("table", "json", "csv")]
+_ARGVS += [["stress", "--layup", SANDWICH, "--voltage=1e305V"],    # computation error: 1
+           ["reduce", "--layup", str(ROOT / "no" / "such.json")]]    # input error: 2
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda argv: "-".join(argv[:1] + argv[3:]))
+def test_cli_process_prints_what_main_returns(argv):
+    child = _child(["-m", "pzbeam.cli", *argv], _env())
+    assert (child.returncode, child.stdout, child.stderr.decode()) == _in_process(argv)
+
+
+def test_large_buffered_output_arrives_whole_through_a_pipe():
+    argv = ["stress", "--layup", SANDWICH, "--points", "20000", "--output", "csv"]
+    child = _child(["-m", "pzbeam.cli", *argv], _env(drop=["PYTHONUNBUFFERED"]))
+    code, stdout, _ = _in_process(argv)
+    assert len(stdout) > 1 << 20 and child.returncode == code == 0
+    assert hashlib.sha256(child.stdout).digest() == hashlib.sha256(stdout).digest()
+
+
+# installed as sitecustomize: prints a line from an atexit handler
+_ATEXIT_HOOK = """
+import atexit
+
+atexit.register(lambda: print("atexit handler ran"))
+"""
+
+
+_REDUCE = ["reduce", "--layup", SANDWICH]
+
+
+@pytest.mark.parametrize("args", [["-m", "pzbeam.cli", *_REDUCE], _console_script(_REDUCE)],
+                         ids=["module", "console-script"])
+def test_cli_process_runs_atexit_handlers_then_flushes(tmp_path, args):
+    (tmp_path / "sitecustomize.py").write_text(_ATEXIT_HOOK)
+    stdout = _python(args, _env(path=[tmp_path], drop=["PYTHONUNBUFFERED"]))
+    assert stdout.encode() == _in_process(_REDUCE)[1] + b"atexit handler ran\n"
+
+
+_OUTPUT_ERROR = "pzbeam: output error: {}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_full_disk_is_one_line_output_error(unbuffered):
+    env = _env(drop=["PYTHONUNBUFFERED"])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        child = _child(["-m", "pzbeam.cli", *CLI_ARGS], env, stdout=full)
+    assert child.returncode == 1
+    assert child.stderr.decode() == _OUTPUT_ERROR.format("[Errno 28] No space left on device")
+
+
+def test_closed_stdout_is_one_line_output_error():
+    child = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "pzbeam.cli",
+                            *CLI_ARGS], env=_env(), cwd=ROOT, stderr=subprocess.PIPE, timeout=120)
+    assert child.returncode == 1
+    assert child.stderr.decode() == _OUTPUT_ERROR.format("no stdout")
+
+
+def test_broken_pipe_is_one_line_output_error():
+    # 2 MB: far more than a pipe holds, so the write is still going when the reader leaves
+    argv = ["-m", "pzbeam.cli", "stress", "--layup", SANDWICH, "--points", "20000"]
+    with subprocess.Popen([sys.executable, *argv], env=_env(drop=["PYTHONUNBUFFERED"]), cwd=ROOT,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(10)
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+    assert child.returncode == 1
+    assert stderr == _OUTPUT_ERROR.format("[Errno 32] Broken pipe")
