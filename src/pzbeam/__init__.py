@@ -16,10 +16,10 @@ _EXPORTS = {
                   "as_plane", "builtin_materials", "condense_to_plane", "convert_d_to_e",
                   "isotropic_elastic", "load_material_db"),
     "oracle": ("discretized_oracle", "oracle_transverse_multipliers"),
-    "section": ("Closure", "ClosureComparison", "GeneralizedState", "Layer", "LayupError",
-                "Section", "SectionConstitutive", "StressProfile", "build_section",
-                "capacitance_per_length", "compare_closures", "load_layup",
-                "nsr_transverse_field", "recover_stress_profile", "reduce_section"),
+    "section": ("Closure", "ClosureComparison", "GeneralizedState", "LayupError", "Section",
+                "SectionConstitutive", "StressProfile", "build_section", "capacitance_per_length",
+                "compare_closures", "load_layup", "nsr_transverse_field",
+                "recover_stress_profile", "reduce_section"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

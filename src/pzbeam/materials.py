@@ -294,15 +294,15 @@ def condense_to_plane(m: Material3D) -> PlaneMaterial:
     """Eliminate T33 (and the shear components) keeping E3 as independent field.
 
     Q_ij   = cE_ij - cE_i3 (cE_j3 / cE_33)        (i, j in {1, 2}; divided first, so no overflow)
-    e3i    = e_3i - e_33 cE_i3 / cE_33
+    e3i    = e_3i - e_33 / (cE_33 / cE_i3)        (term 0 if cE_i3 = 0 or the ratio is inf)
     eps33  = epsS_33 + e_33^2 / cE_33
     """
     c33 = m.cE[2, 2]
     if c33 <= 0.0:
         raise MaterialError(f"{m.name}: degenerate thickness stiffness")
     q = {(i, j): m.cE[i, j] - m.cE[i, 2] * (m.cE[j, 2] / c33) for i in (0, 1) for j in (0, 1)}
-    e31 = m.e[2, 0] - m.e[2, 2] * m.cE[0, 2] / c33
-    e32 = m.e[2, 1] - m.e[2, 2] * m.cE[1, 2] / c33
+    with np.errstate(divide="ignore", over="ignore"):
+        e31, e32 = m.e[2, :2] - m.e[2, 2] / (c33 / m.cE[:2, 2])
     eps33 = m.epsS[2, 2] + m.e[2, 2] ** 2 / c33
     return PlaneMaterial(name=m.name, Q11=q[(0, 0)], Q12=q[(0, 1)], Q22=q[(1, 1)],
                          e31=e31, e32=e32, eps33=eps33, density=m.density)

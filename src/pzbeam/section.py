@@ -41,13 +41,12 @@ T11 (actuation) and the q rows collect the mean D3 (sensing); neither is
 filled from the other. Sums are elementwise products reduced with
 np.add.reduce, never @, np.dot or einsum: a BLAS dot fuses multiply and add,
 which leaves one rounding error of a mirrored pair behind (the bimorph's B = 0
-came out as 2.2e-15 N m). The moments int 1, z, z^2 of a layer of thickness h
-centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep full precision for
-a thin layer far from the mid-plane. build_section checks each distinct
-(material, poling, electroded) kind of layer once, with the one function that
-checks layer by layer when a layer cannot be read or its thickness is out of
-bounds. A Section builds its read-only per-layer table once, from its
-columns; no reduction or stress recovery builds a Layer record.
+came out as 2.2e-15 N m). Even so, mirrored layers cancel exactly only about
+exactly mirrored centres, as in the bimorph (interfaces -0.5, 0, 0.5 mm): the
+interfaces are summed from -H/2, so the sandwich's B (about 6e-13 N m) and NSR
+gm (1.05e-18 N/V) are round-off, not zero. The moments int 1, z, z^2 of a
+layer of thickness h centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep
+full precision for a thin layer far from the mid-plane.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, PlaneMaterial, \
+from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, \
     _is_positive_definite, _read_columns, _read_fields, _Record, as_plane, builtin_materials
 
 
@@ -115,24 +114,14 @@ def _solve(a, b) -> np.ndarray:
         return gufunc(a, b, signature="dd->d")
 
 
-class Layer(_Record):
-    """One layer of the stack, bottom face first.
+def _check_layer(material, thickness, poling, electroded) -> None:
+    """Raise LayupError, naming the first fault, unless the four fields make a valid layer.
 
     poling is +1/-1 for the orientation of the poling axis along +z, or 0
     for a layer with no poling direction. A poling of 0 requires a material
     with zero piezoelectric coupling; an electroded layer must be poled
     (any dielectric qualifies, coupled or not).
     """
-
-    def __init__(self, material: PlaneMaterial, thickness: float, poling: int = 0,
-                 electroded: bool = False):
-        _check_layer(material, thickness, poling, electroded)
-        vars(self).update(material=material, thickness=thickness, poling=poling,
-                          electroded=electroded)
-
-
-def _check_layer(material, thickness, poling, electroded) -> None:
-    """Raise LayupError unless the four fields make a valid Layer."""
     _check_length(thickness, "layer thickness", LayupError)
     if poling not in (-1, 0, 1):
         raise LayupError(f"poling must be -1, 0 or +1, got {poling}")
@@ -144,53 +133,53 @@ def _check_layer(material, thickness, poling, electroded) -> None:
                          "(electroded elastic layer)")
 
 
-def _check_section(n_layers: int, width: float, wiring: str) -> None:
-    if n_layers == 0:
-        raise LayupError("section needs at least one layer")
-    _check_length(width, "width", LayupError)
-    if wiring not in ("parallel", "independent"):
-        raise LayupError(f"unknown wiring {wiring!r}")
-
-
 class Section(_Record):
-    """Ordered layer stack with width and electrode wiring.
+    """A stack of layers, bottom to top, as four columns, with width and electrode wiring.
 
+    The columns are plane materials, thicknesses in m, polings and electroded
+    flags; the constructor names the first faulty layer (see _check_layer).
     wiring 'parallel' joins all electroded layers into one terminal pair;
     'independent' gives every electroded layer its own terminal (ordered
-    bottom to top). Its properties and table read four per-layer columns:
-    materials, thicknesses, polings and electroded flags. A section from
-    build_section holds only those, and builds its Layer records on first read.
+    bottom to top). The table the reductions read is built once, on first use.
     """
 
-    def __init__(self, layers, width: float, wiring: str = "parallel"):
-        layers = tuple(layers)
-        _check_section(len(layers), width, wiring)
-        vars(self).update(layers=layers, width=width, wiring=wiring,
-                          _columns=tuple(zip(*map(Layer._astuple, layers))))
-
-    @classmethod
-    def _from_columns(cls, columns: tuple, width: float, wiring: str) -> Section:
-        _check_section(len(columns[0]), width, wiring)
-        section = object.__new__(cls)
-        vars(section).update(width=width, wiring=wiring, _columns=columns)
-        return section
-
-    @cached_property
-    def layers(self) -> tuple:
-        return tuple(map(Layer, *self._columns))
+    def __init__(self, materials, thicknesses, polings, electroded, width: float,
+                 wiring: str = "parallel"):
+        columns = materials, h, polings, electroded = tuple(map(
+            tuple, (materials, thicknesses, polings, electroded)))
+        if not h:
+            raise LayupError("section needs at least one layer")
+        if not len(materials) == len(h) == len(polings) == len(electroded):
+            raise LayupError(f"section columns differ in length: {tuple(map(len, columns))}")
+        layers = zip(*columns)
+        # min and max skip a NaN that is not first, but the sum carries it
+        if 1e-30 <= min(h) and max(h) <= 1e30 and not math.isnan(sum(h)):
+            # every thickness is in bounds, so a kind's first layer fails as all of its
+            # layers do: the first kind with a fault holds the first faulty layer
+            try:
+                kinds = dict(zip(zip(map(id, materials), polings, electroded), materials))
+                layers = [(m, h[0], poling, flag) for (_, poling, flag), m in kinds.items()]
+            except TypeError:       # an unhashable poling or flag: check layer by layer
+                pass
+        for layer in layers:
+            _check_layer(*layer)
+        _check_length(width, "width", LayupError)
+        if wiring not in ("parallel", "independent"):
+            raise LayupError(f"unknown wiring {wiring!r}")
+        vars(self).update(zip(self._fields, (*columns, width, wiring)), _columns=columns)
 
     @property
     def thickness(self) -> float:
-        return sum(self._columns[1])
+        return sum(self.thicknesses)
 
     @cached_property
     def z_interfaces(self) -> tuple:
-        return tuple(accumulate(self._columns[1], initial=-self.thickness / 2.0))
+        return tuple(accumulate(self.thicknesses, initial=-self.thickness / 2.0))
 
     @cached_property
     def terminals(self) -> tuple:
-        """Layer indices per terminal."""
-        electroded = tuple(compress(count(), self._columns[3]))
+        """The layer indices of each terminal."""
+        electroded = tuple(compress(count(), self.electroded))
         if not electroded:
             return ()
         if self.wiring == "parallel":
@@ -203,7 +192,7 @@ class Section(_Record):
 
     @property
     def mass_per_length(self) -> float:
-        return self.width * sum(m.density * t for m, t in zip(*self._columns[:2]))
+        return self.width * sum(m.density * t for m, t in zip(self.materials, self.thicknesses))
 
     @cached_property
     def _table(self) -> _LayerTable:
@@ -318,8 +307,8 @@ class _LayerTable(NamedTuple):
     give the T11 (or T22) of a unit voltage and the charge of a unit strain
     and curvature; slots sends row r to bin r*T + collect, so one bincount
     scatters all four. k is the NSR stiffness sum Q22*(m0, m1; m1, m2). No
-    sum is a BLAS dot, which would break the exact cancellation of mirrored
-    layers.
+    sum is a BLAS dot, whose fused multiply-add would leave round-off where
+    mirrored layers with mirrored centres cancel (see the module docstring).
     """
 
     q11: np.ndarray
@@ -573,10 +562,10 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     numbers (an int or a float, not a bool) and electroded a bool. Material
     names resolve against the optional materials mapping first and then
     against the built-in records, built only if a name is missing there.
-    _layer_plane checks a layer: once per distinct (material, poling,
-    electroded) kind, or layer by layer if a layer cannot be read or its
-    thickness is out of bounds. Either way the first faulty layer, bottom to
-    top, is named, and no Layer record is built.
+    Each distinct name and poling key is resolved once, and the Section
+    constructor checks the layer rules; if a layer cannot be read or
+    resolved, the layers are read one by one instead. Either way the first
+    faulty layer, bottom to top, is named.
     """
     materials = materials or {}
     width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
@@ -584,36 +573,26 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
         raise LayupError("layup has no layers")
     columns = _read_columns(entries, _LAYER_FIELDS)
     names, thickness_mm, poling_keys, electroded = columns or ((),) * 4
-    kinds = dict.fromkeys(zip(names, poling_keys, electroded))
-    records = (materials if columns and materials.keys() >= {name for name, _, _ in kinds}
+    distinct = set(names)
+    records = (materials if columns and materials.keys() >= distinct
                else {**builtin_materials(), **materials})
-    thickness = tuple(map((1e-3).__rmul__, thickness_mm))     # the bits of t * 1e-3
-    if not (columns and 1e-30 <= min(thickness) and max(thickness) <= 1e30):
-        # a layer has a fault: this raises the first
+    try:
+        planes = {name: as_plane(records[name]) for name in distinct}
+        polings = tuple(map(_POLING.__getitem__, poling_keys))
+    except (KeyError, MaterialError):
+        columns = None
+    if columns is None:
+        # a layer cannot be read or resolved: raise the first faulty layer's first fault
         for entry in entries:
-            _layer_plane(records, *_read_fields(entry, _LAYER_FIELDS, "layer", LayupError))
-    # every thickness is in bounds, so the first stands for each kind's: the
-    # first kind with a fault holds the first faulty layer, and names its fault
-    planes = {name: _layer_plane(records, name, thickness_mm[0], key, el)
-              for name, key, el in kinds}
-    return Section._from_columns((tuple(map(planes.__getitem__, names)), thickness,
-                                  tuple(map(_POLING.__getitem__, poling_keys)), electroded),
-                                 width * 1e-3, wiring)
-
-
-def _layer_plane(records, name, thickness_mm, poling_key, electroded) -> PlaneMaterial:
-    """The plane material of one layup layer, checked as Layer checks it.
-
-    Raises the layer's first fault: an unknown material, an unknown poling,
-    a MaterialError of its record, then the first fault of _check_layer.
-    """
-    if name not in records:
-        raise LayupError(f"unknown material {name!r}")
-    if poling_key not in _POLING:
-        raise LayupError(f"unknown poling {poling_key!r} (expected +z, -z or none)")
-    plane = as_plane(records[name])
-    _check_layer(plane, thickness_mm * 1e-3, _POLING[poling_key], electroded)
-    return plane
+            name, h_mm, key, flag = _read_fields(entry, _LAYER_FIELDS, "layer", LayupError)
+            if name not in records:
+                raise LayupError(f"unknown material {name!r}")
+            if key not in _POLING:
+                raise LayupError(f"unknown poling {key!r} (expected +z, -z or none)")
+            _check_layer(as_plane(records[name]), h_mm * 1e-3, _POLING[key], flag)
+    return Section(tuple(map(planes.__getitem__, names)),
+                   tuple(map((1e-3).__rmul__, thickness_mm)),    # the bits of t * 1e-3
+                   polings, electroded, width * 1e-3, wiring)
 
 
 def load_layup(path, material_db=None) -> Section:

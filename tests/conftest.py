@@ -5,12 +5,29 @@ import pytest
 
 from pzbeam import (
     GeneralizedState,
-    Layer,
     PlaneMaterial,
     Section,
     as_plane,
     builtin_materials,
 )
+from pzbeam.section import _POLING
+
+
+def section_of(rows, width: float, wiring: str = "parallel") -> Section:
+    """The Section of (material, thickness, poling, electroded) rows, bottom to top.
+
+    A row may stop after the thickness (poling 0, not electroded) or after the
+    poling (not electroded).
+    """
+    return Section(*zip(*(row + (0, False)[len(row) - 2:] for row in rows)), width, wiring)
+
+
+def section_of_layup(layup: dict, planes: dict) -> Section:
+    """The Section constructor called on the columns of a layup over named plane materials."""
+    return section_of([(planes[l["material"]], l["thickness_mm"] * 1e-3,
+                        _POLING[l.get("poling", "none")], l.get("electroded", False))
+                       for l in layup["layers"]],
+                      layup["width_mm"] * 1e-3, layup.get("wiring", "parallel"))
 
 
 @pytest.fixture(scope="session")
@@ -26,37 +43,28 @@ def al_plane() -> PlaneMaterial:
 @pytest.fixture(scope="session")
 def sandwich(pzt_plane, al_plane) -> Section:
     """Mirror-poled PZT / Al / PZT benchmark stack, parallel wiring."""
-    return Section(layers=(
-        Layer(pzt_plane, 0.27e-3, poling=-1, electroded=True),
-        Layer(al_plane, 2.0e-3),
-        Layer(pzt_plane, 0.27e-3, poling=+1, electroded=True),
-    ), width=17.8e-3)
+    return section_of(((pzt_plane, 0.27e-3, -1, True),
+                       (al_plane, 2.0e-3),
+                       (pzt_plane, 0.27e-3, +1, True)), width=17.8e-3)
 
 
 @pytest.fixture(scope="session")
 def same_poled_sandwich(pzt_plane, al_plane) -> Section:
-    return Section(layers=(
-        Layer(pzt_plane, 0.27e-3, poling=+1, electroded=True),
-        Layer(al_plane, 2.0e-3),
-        Layer(pzt_plane, 0.27e-3, poling=+1, electroded=True),
-    ), width=17.8e-3)
+    return section_of(((pzt_plane, 0.27e-3, +1, True),
+                       (al_plane, 2.0e-3),
+                       (pzt_plane, 0.27e-3, +1, True)), width=17.8e-3)
 
 
 @pytest.fixture(scope="session")
 def unimorph(pzt_plane, al_plane) -> Section:
-    return Section(layers=(
-        Layer(pzt_plane, 0.27e-3, poling=+1, electroded=True),
-        Layer(al_plane, 1.0e-3),
-    ), width=17.8e-3)
+    return section_of(((pzt_plane, 0.27e-3, +1, True), (al_plane, 1.0e-3)), width=17.8e-3)
 
 
 @pytest.fixture(scope="session")
 def bimorph(pzt_plane) -> Section:
     """Opposed-poled pair, no core; each layer sees twice the series field."""
-    return Section(layers=(
-        Layer(pzt_plane, 0.5e-3, poling=+1, electroded=True),
-        Layer(pzt_plane, 0.5e-3, poling=-1, electroded=True),
-    ), width=10e-3)
+    return section_of(((pzt_plane, 0.5e-3, +1, True), (pzt_plane, 0.5e-3, -1, True)),
+                      width=10e-3)
 
 
 def random_plane_material(rng, piezo: bool) -> PlaneMaterial:
@@ -83,14 +91,13 @@ def random_section(rng, require_terminal: bool = True, min_layers: int = 1) -> S
         thickness = 0.5e-3 * rng.uniform(0.05, 20.0)
         poling = int(rng.choice((-1, 1))) if piezo else 0
         electroded = piezo and rng.random() < 0.75
-        layers.append(Layer(material, thickness, poling=poling, electroded=electroded))
-    if require_terminal and not any(l.electroded for l in layers):
+        layers.append((material, thickness, poling, electroded))
+    if require_terminal and not any(electroded for *_, electroded in layers):
         material = random_plane_material(rng, piezo=True)
-        layers[int(rng.integers(0, n_layers))] = Layer(
-            material, 0.5e-3 * rng.uniform(0.05, 20.0),
-            poling=int(rng.choice((-1, 1))), electroded=True)
+        layers[int(rng.integers(0, n_layers))] = (
+            material, 0.5e-3 * rng.uniform(0.05, 20.0), int(rng.choice((-1, 1))), True)
     wiring = "parallel" if rng.random() < 0.5 else "independent"
-    return Section(layers=tuple(layers), width=rng.uniform(2e-3, 0.1), wiring=wiring)
+    return section_of(layers, width=rng.uniform(2e-3, 0.1), wiring=wiring)
 
 
 def random_state(rng, section: Section) -> GeneralizedState:

@@ -12,9 +12,7 @@ import pytest
 
 from pzbeam import (
     GeneralizedState,
-    Layer,
     PlaneMaterial,
-    Section,
     capacitance_per_length,
     cantilever_tip_deflection,
     coupling_factor,
@@ -27,7 +25,7 @@ from pzbeam import (
 )
 from pzbeam.cli import main as cli_main
 
-from conftest import random_section, random_state
+from conftest import random_section, random_state, section_of
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 CLOSURES = ("nd", "ns", "nsr")
@@ -114,7 +112,7 @@ def test_criterion_4_degeneracies():
     rng = np.random.default_rng(5)
     for _ in range(50):
         single = random_section(rng)
-        while len(single.layers) > 1:
+        while len(single.thicknesses) > 1:
             single = random_section(rng)
         m_ns = reduce_section(single, "ns").matrix
         m_nsr = reduce_section(single, "nsr").matrix
@@ -126,9 +124,9 @@ def test_criterion_4_degeneracies():
                            e31=0.0, e32=0.0, eps33=1.5e-8, density=7000.0)
     diel_b = PlaneMaterial(name="db", Q11=90e9, Q12=20e9, Q22=80e9,
                            e31=0.0, e32=0.0, eps33=4.0e-9, density=5000.0)
-    stack = Section(layers=(
-        Layer(diel_a, 0.4e-3, poling=+1, electroded=True),
-        Layer(diel_b, 1.1e-3, poling=-1, electroded=True),
+    stack = section_of((
+        (diel_a, 0.4e-3, +1, True),
+        (diel_b, 1.1e-3, -1, True),
     ), width=width, wiring="parallel")
     expected = diel_a.eps33 * width / 0.4e-3 + diel_b.eps33 * width / 1.1e-3
     for closure in CLOSURES:

@@ -9,8 +9,6 @@ import pytest
 from pzbeam import (
     Beam,
     BeamError,
-    Layer,
-    Section,
     cantilever_tip_deflection,
     coupling_factor,
     free_actuation_state,
@@ -20,9 +18,9 @@ from pzbeam import (
     sensor_charge,
 )
 from pzbeam.beam import BOUNDARIES, _boundary_eigenvalues
-from pzbeam.section import PlaneMaterial
+from pzbeam.materials import PlaneMaterial
 
-from conftest import random_section
+from conftest import random_section, section_of
 
 DIELECTRIC = PlaneMaterial(name="dielectric", Q11=60e9, Q12=18e9, Q22=60e9,
                            e31=0.0, e32=0.0, eps33=1.5e-8, density=7500.0)
@@ -140,8 +138,7 @@ class TestSensorCharge:
 
 class TestModal:
     def test_zero_coupling_open_equals_short(self):
-        section = Section(layers=(Layer(DIELECTRIC, 1e-3, poling=+1, electroded=True),),
-                          width=0.02)
+        section = section_of(((DIELECTRIC, 1e-3, +1, True),), width=0.02)
         beam = make_beam(section, "nsr", 0.1)
         np.testing.assert_array_equal(modal_frequencies(beam, "open", 5),
                                       modal_frequencies(beam, "short", 5))
@@ -224,7 +221,7 @@ class TestCouplingFactor:
         assert k2["ns"] < k2["nsr"] < k2["nd"]
 
     def test_no_terminals_is_exactly_zero(self, al_plane):
-        section = Section(layers=(Layer(al_plane, 1e-3),), width=0.01)
+        section = section_of(((al_plane, 1e-3),), width=0.01)
         assert coupling_factor(reduce_section(section, "nsr")) == 0.0
 
     def test_matches_modal_definition(self):

@@ -353,6 +353,27 @@ class TestMaterialDb:
             assert getattr(plane, field) == pytest.approx(getattr(reference, field) * 10.0 ** k,
                                                           rel=1e-12)
 
+    def test_coupled_stiffness_near_the_float_limit_condenses(self):
+        # e_33 * cE_i3 overflowed at cE x 1e296, with two RuntimeWarnings (errors
+        # under the suite's filterwarnings), and e31 came out inf
+        pzt = builtin_materials()["PZT-5H"]
+        e_form = convert_d_to_e(pzt)
+        big = as_plane(Material3D("Big", e_form.cE * 1e296, e_form.e, e_form.epsS,
+                                  e_form.density))
+        reference = as_plane(pzt)
+        assert reference.e31.hex() == reference.e32.hex() == "-0x1.b4dc2d6ef663cp+4"
+        for field in ("e31", "e32"):
+            want = getattr(reference, field)
+            assert abs(getattr(big, field) - want) <= 4 * np.spacing(abs(want))
+
+    def test_no_thickness_coupling_leaves_e31_and_e32_as_they_are(self):
+        e_form = convert_d_to_e(builtin_materials()["PZT-5H"])
+        cE = np.array(e_form.cE)
+        cE[0, 2] = cE[2, 0] = cE[1, 2] = cE[2, 1] = 0.0
+        plane = condense_to_plane(Material3D("Decoupled", cE, e_form.e, e_form.epsS,
+                                             e_form.density))
+        assert (plane.e31, plane.e32) == (e_form.e[2, 0], e_form.e[2, 1])
+
     @pytest.mark.parametrize("key, hint", [("epsS_F_m", "epsS_F_per_m"),
                                            ("density", "density_kg_m3"),
                                            ("sE_per_Pa", None)])

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import pzbeam.section
 from pzbeam import (
-    Layer,
     Section,
     build_section,
     discretized_oracle,
@@ -13,7 +13,7 @@ from pzbeam import (
     reduce_section,
 )
 
-from conftest import random_plane_material, random_section
+from conftest import random_plane_material, random_section, section_of
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -43,9 +43,8 @@ def test_fine_discretization_random_stack(closure):
 def test_thin_skin_far_from_midplane(pzt_plane, al_plane, closure):
     # a 1e-12 mm skin 1 mm off the mid-plane: plain z-moments of the skin
     # cancel to a few digits, the layer-centered ones keep full precision
-    section = Section(layers=(Layer(al_plane, 2e-3),
-                              Layer(pzt_plane, 1e-15, poling=+1, electroded=True)),
-                      width=0.01, wiring="independent")
+    section = section_of(((al_plane, 2e-3), (pzt_plane, 1e-15, +1, True)),
+                         width=0.01, wiring="independent")
     analytic = reduce_section(section, closure).matrix
     oracle = discretized_oracle(section, closure, 1).matrix
     scale = np.sqrt(np.abs(np.outer(np.diag(oracle), np.diag(oracle))))
@@ -57,9 +56,9 @@ def deep_independent_stack(rng, n_layers):
     layers = []
     for i in range(n_layers):
         piezo = i % 3 != 1
-        layers.append(Layer(random_plane_material(rng, piezo), 0.5e-3 * rng.uniform(0.05, 20.0),
-                            poling=int(rng.choice((-1, 1))) if piezo else 0, electroded=piezo))
-    return Section(layers=tuple(layers), width=rng.uniform(2e-3, 0.1), wiring="independent")
+        layers.append((random_plane_material(rng, piezo), 0.5e-3 * rng.uniform(0.05, 20.0),
+                       int(rng.choice((-1, 1))) if piezo else 0, piezo))
+    return section_of(layers, width=rng.uniform(2e-3, 0.1), wiring="independent")
 
 
 @pytest.mark.parametrize("closure", CLOSURES)
@@ -91,7 +90,7 @@ def test_oracle_multipliers_random_sections():
 
 def test_oracle_single_elastic_layer(al_plane):
     e_mod, b, h = 69e9, 0.02, 1.5e-3
-    section = Section(layers=(Layer(al_plane, h),), width=b)
+    section = section_of(((al_plane, h),), width=b)
     k = discretized_oracle(section, "ns", 50)
     assert k.extension_stiffness == pytest.approx(e_mod * b * h, rel=1e-10)
     assert k.bending_stiffness == pytest.approx(e_mod * b * h ** 3 / 12, rel=1e-10)
@@ -127,18 +126,19 @@ def test_oracle_reads_no_layer_table(sandwich, monkeypatch):
         assert np.array_equal(a, b)
 
 
-def test_oracle_builds_no_layer_records(count_calls):
+def test_oracle_of_a_built_section_equals_that_of_its_columns(count_calls):
     layup = {"width_mm": 12.0, "wiring": "independent", "layers": [
         {"material": "PZT-5H", "thickness_mm": 0.2, "poling": "-z" if i % 4 else "+z",
          "electroded": True} if i % 2 == 0 else {"material": "Al-6061", "thickness_mm": 0.5}
         for i in range(9)]}
     built = build_section(layup)
-    calls = count_calls(Layer, "__init__")
+    calls = count_calls(pzbeam.section, "_check_layer")
     got = [discretized_oracle(built, c, 3).matrix for c in CLOSURES]
     got.append(oracle_transverse_multipliers(built, 3))
     assert len(calls) == 0
-    records = Section(built.layers, built.width, built.wiring)
-    want = [discretized_oracle(records, c, 3).matrix for c in CLOSURES]
-    want.append(oracle_transverse_multipliers(records, 3))
+    direct = Section(built.materials, built.thicknesses, built.polings, built.electroded,
+                     built.width, built.wiring)
+    want = [discretized_oracle(direct, c, 3).matrix for c in CLOSURES]
+    want.append(oracle_transverse_multipliers(direct, 3))
     for a, b in zip(got, want, strict=True):
         assert a.tobytes() == b.tobytes()

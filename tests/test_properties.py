@@ -11,7 +11,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pzbeam import (
     EPS0,
     GeneralizedState,
-    Layer,
     LayupError,
     MaterialDForm,
     MaterialError,
@@ -30,7 +29,9 @@ from pzbeam import (
     reduce_section,
 )
 from pzbeam.materials import _is_positive_definite, _read_columns, _read_fields
-from pzbeam.section import _LAYER_FIELDS, _POLING
+from pzbeam.section import _LAYER_FIELDS
+
+from conftest import section_of, section_of_layup
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -68,28 +69,33 @@ def sections(draw, min_layers=1, max_layers=6, isotropic=False):
         poling = draw(st.sampled_from((-1, 1))) if piezo else 0
         electroded = piezo and draw(st.booleans())
         n_electroded += electroded
-        layers.append(Layer(material, thickness, poling=poling, electroded=electroded))
+        layers.append((material, thickness, poling, electroded))
     if n_electroded == 0:
         material = draw(plane_materials(piezo=True, isotropic=isotropic))
-        layers[0] = Layer(material, layers[0].thickness,
-                          poling=draw(st.sampled_from((-1, 1))), electroded=True)
+        layers[0] = (material, layers[0][1], draw(st.sampled_from((-1, 1))), True)
     wiring = draw(st.sampled_from(("parallel", "independent")))
-    return Section(layers=tuple(layers), width=draw(st.floats(2e-3, 0.1)), wiring=wiring)
+    return section_of(layers, width=draw(st.floats(2e-3, 0.1)), wiring=wiring)
 
 
 @st.composite
-def named_layups(draw):
-    """A layup dict over a mapping of named random plane materials, and that mapping."""
+def named_layups(draw, faulty=False):
+    """A layup dict over a mapping of named random plane materials, and that mapping.
+
+    faulty layups may break the layer rules: an unpoled coupled or electroded
+    layer, or a thickness out of bounds.
+    """
     names = [f"m{i}" for i in range(draw(st.integers(1, 3)))]
     planes = {name: draw(plane_materials(piezo=draw(st.booleans()))) for name in names}
     layers = []
     for _ in range(draw(st.integers(1, 8))):
         name = draw(st.sampled_from(names))
-        poling = draw(st.sampled_from(("+z", "-z") if planes[name].has_coupling
+        poling = draw(st.sampled_from(("+z", "-z") if planes[name].has_coupling and not faulty
                                       else ("+z", "-z", "none")))
-        layer = {"material": name,
-                 "thickness_mm": draw(st.floats(0.005, 10.0) | st.integers(1, 5)),
-                 "poling": poling, "electroded": poling != "none" and draw(st.booleans())}
+        thickness_mm = st.floats(0.005, 10.0) | st.integers(1, 5)
+        if faulty:
+            thickness_mm |= st.sampled_from(_EDGE_THICKNESS_MM)
+        layer = {"material": name, "thickness_mm": draw(thickness_mm), "poling": poling,
+                 "electroded": (faulty or poling != "none") and draw(st.booleans())}
         if poling == "none" and draw(st.booleans()):
             del layer["poling"], layer["electroded"]     # the defaults
         layers.append(layer)
@@ -100,22 +106,33 @@ def named_layups(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(drawn=named_layups())
-def test_build_section_equals_the_section_of_its_layer_records(drawn):
+def test_build_section_equals_the_section_of_its_columns(drawn):
     layup, planes = drawn
     built = build_section(layup, planes)
-    records = Section(tuple(Layer(planes[l["material"]], l["thickness_mm"] * 1e-3,
-                                  _POLING[l.get("poling", "none")], l.get("electroded", False))
-                            for l in layup["layers"]),
-                      layup["width_mm"] * 1e-3, layup["wiring"])
+    direct = section_of_layup(layup, planes)
     for closure in CLOSURES:
         assert (reduce_section(built, closure).matrix.tobytes()
-                == reduce_section(records, closure).matrix.tobytes())
-    for a, b in zip(built._table, records._table):
+                == reduce_section(direct, closure).matrix.tobytes())
+    for a, b in zip(built._table, direct._table):
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
     for name in ("thickness", "z_interfaces", "terminals", "mass_per_length"):
-        assert getattr(built, name) == getattr(records, name)
-    assert built.layers == records.layers
-    assert built == records and hash(built) == hash(records)
+        assert getattr(built, name) == getattr(direct, name)
+    assert built._columns == direct._columns
+    assert built == direct and hash(built) == hash(direct)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=named_layups(faulty=True))
+def test_the_constructor_names_the_first_faulty_layer_as_build_section_does(drawn):
+    layup, planes = drawn
+    try:
+        built = build_section(layup, planes)
+    except LayupError as fault:
+        with pytest.raises(LayupError) as raised:
+            section_of_layup(layup, planes)
+        assert str(raised.value) == str(fault)
+    else:
+        assert section_of_layup(layup, planes) == built
 
 
 # thicknesses in mm whose metres lie on either side of the bounds 1e-30 and 1e30
@@ -198,8 +215,8 @@ def test_full_matrix_symmetry(section, closure):
 @given(section=sections(), closure=st.sampled_from(CLOSURES))
 def test_width_linearity(section, closure):
     # doubling is exact in floating point: every entry is linear in width
-    doubled = Section(layers=section.layers, width=2.0 * section.width,
-                      wiring=section.wiring)
+    doubled = Section(section.materials, section.thicknesses, section.polings,
+                      section.electroded, 2.0 * section.width, section.wiring)
     m1 = reduce_section(section, closure).matrix
     m2 = reduce_section(doubled, closure).matrix
     assert np.array_equal(m2, 2.0 * m1)
@@ -246,10 +263,9 @@ def test_orthotropic_skins_break_the_isotropy_identity():
     skin = PlaneMaterial(name="orthotropic", Q11=pzt.Q11, Q12=pzt.Q12, Q22=pzt.Q22 / 2.0,
                          e31=pzt.e31, e32=pzt.e32 * 0.3, eps33=pzt.eps33, density=pzt.density)
     for material, nsr_blocked in ((pzt, 2.8310), (skin, 2.2146)):
-        section = Section(layers=(Layer(material, 0.27e-3, poling=-1, electroded=True),
-                                  Layer(al, 2.0e-3),
-                                  Layer(material, 0.27e-3, poling=+1, electroded=True)),
-                          width=17.8e-3)
+        section = section_of(((material, 0.27e-3, -1, True),
+                              (al, 2.0e-3),
+                              (material, 0.27e-3, +1, True)), width=17.8e-3)
         blocked = capacitance_per_length(reduce_section(section, "nsr"), "blocked")
         free_nd = capacitance_per_length(reduce_section(section, "nd"), "free")
         assert round(blocked * 1e6, 4) == nsr_blocked
@@ -260,8 +276,7 @@ def test_orthotropic_skins_break_the_isotropy_identity():
 @given(material=plane_materials(piezo=True), thickness=st.floats(1e-4, 5e-3),
        width=st.floats(2e-3, 0.1), poling=st.sampled_from((-1, 1)))
 def test_single_layer_ns_nsr_degeneracy(material, thickness, width, poling):
-    section = Section(layers=(Layer(material, thickness, poling=poling, electroded=True),),
-                      width=width)
+    section = section_of(((material, thickness, poling, True),), width=width)
     m_ns = reduce_section(section, "ns").matrix
     m_nsr = reduce_section(section, "nsr").matrix
     assert np.max(np.abs(m_ns - m_nsr)) <= 1e-12 * np.max(np.abs(m_ns))
@@ -270,11 +285,11 @@ def test_single_layer_ns_nsr_degeneracy(material, thickness, width, poling):
 # a subnormal voltage on a stack whose only coupled layer drives T22 through
 # e32: the recovered N2 (7.4e-318 N/m) is round-off in the subnormal range,
 # far above any bound relative to the subnormal stresses
-_SUBNORMAL_STACK = Section(layers=(
-    Layer(PlaneMaterial(name="h", Q11=5e9, Q12=0.0, Q22=5e9, e31=0.0, e32=1.0, eps33=1e-9,
-                        density=1e3), 0.5e-3, poling=-1, electroded=True),
-    *[Layer(PlaneMaterial(name="h", Q11=5e9, Q12=0.0, Q22=5e9, e31=0.0, e32=0.0,
-                          eps33=1e-11, density=1e3), 0.5e-3)] * 4), width=2e-3)
+_SUBNORMAL_STACK = section_of((
+    (PlaneMaterial(name="h", Q11=5e9, Q12=0.0, Q22=5e9, e31=0.0, e32=1.0, eps33=1e-9,
+                   density=1e3), 0.5e-3, -1, True),
+    *[(PlaneMaterial(name="h", Q11=5e9, Q12=0.0, Q22=5e9, e31=0.0, e32=0.0,
+                     eps33=1e-11, density=1e3), 0.5e-3)] * 4), width=2e-3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -295,10 +310,10 @@ def test_nsr_resultant_annihilation(section, eps, kappa, volt):
     a, b = u @ nsr_transverse_field(section)
     z = section.z_interfaces
     terminal_of = {i: t for t, members in enumerate(section.terminals) for i in members}
-    for i, layer in enumerate(section.layers):
-        p = layer.material
+    for i, (p, h, poling) in enumerate(zip(section.materials, section.thicknesses,
+                                           section.polings)):
         t = terminal_of.get(i)
-        e3 = -layer.poling * (state.voltages[t] if t is not None else 0.0) / layer.thickness
+        e3 = -poling * (state.voltages[t] if t is not None else 0.0) / h
         zmax = max(abs(z[i]), abs(z[i + 1]))
         s11 = abs(state.eps) + zmax * abs(state.kappa)
         term_scale = max(term_scale, abs(p.Q12) * s11 + p.Q22 * (abs(a) + zmax * abs(b))
@@ -310,8 +325,8 @@ def test_nsr_resultant_annihilation(section, eps, kappa, volt):
     # below 2.2e-308 the spacing of doubles is fixed at the smallest subnormal,
     # so round-off there is absolute: a strain rounded there errs by up to
     # that spacing, which T22 multiplies by a stiffness, a few times per layer
-    q_scale = max(abs(l.material.Q12) + l.material.Q22 for l in section.layers)
-    floor = max(floor, 8 * len(section.layers) * np.finfo(float).smallest_subnormal * q_scale)
+    q_scale = max(abs(p.Q12) + p.Q22 for p in section.materials)
+    floor = max(floor, 8 * len(section.materials) * np.finfo(float).smallest_subnormal * q_scale)
     h = section.thickness
     assert abs(profile.n2) <= max(1e-10 * t22_max, floor) * h
     assert abs(profile.m2) <= max(1e-10 * t22_max, floor) * h ** 2
@@ -331,7 +346,7 @@ def test_stress_profile_integrates_to_reduced_resultants(section, closure, data)
     k = reduce_section(section, closure).matrix
     c0, c1 = recover_stress_profile(section, closure, state).t11_coefficients.T
     # exact integrals of c0 + c1*z over each layer, written about its center
-    h = np.array([layer.thickness for layer in section.layers])
+    h = np.array(section.thicknesses)
     zc = np.array(section.z_interfaces[:-1]) + h / 2.0
     n_terms = section.width * np.array([c0 * h, c1 * h * zc])
     m_terms = section.width * np.array([c0 * h * zc, c1 * (h * zc ** 2 + h ** 3 / 12.0)])

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pzbeam
-from pzbeam import GeneralizedState, Layer, builtin_materials, load_layup, make_beam, \
+from pzbeam import GeneralizedState, Section, builtin_materials, load_layup, make_beam, \
     reduce_section
 from pzbeam.materials import _Record
 
@@ -42,7 +42,7 @@ def _one_of_each_record():
     section = load_layup(DOCS / "sandwich.json")
     beam = make_beam(section, "nsr", 0.1)
     return [materials["PZT-5H"], materials["Al-6061"], materials["PZT-5H"].plane, section,
-            section.layers[0], GeneralizedState(eps=1e-4, voltages=(1.0,)),
+            GeneralizedState(eps=1e-4, voltages=(1.0,)),
             beam.constitutive, beam]
 
 
@@ -66,8 +66,9 @@ def _value_pairs():
     section, rebuilt = (load_layup(DOCS / "sandwich.json") for _ in range(2))
     return [
         (pzt, twin, al),
-        (Layer(pzt, 2.7e-4, 1, True), Layer(twin, 2.7e-4, poling=1, electroded=True),
-         Layer(pzt, 2.7e-4, -1, True)),
+        (Section((pzt,), (2.7e-4,), (1,), (True,), 0.01),
+         Section([twin], [2.7e-4], [1], [True], width=0.01),
+         Section((pzt,), (2.7e-4,), (-1,), (True,), 0.01)),
         (section, rebuilt, load_layup(DOCS / "unimorph.json")),
         (GeneralizedState(1e-4, 0.5, [1]), GeneralizedState(eps=1e-4, kappa=0.5, voltages=(1.0,)),
          GeneralizedState(1e-4, 0.5, (2.0,))),
@@ -75,7 +76,8 @@ def _value_pairs():
 
 
 @pytest.mark.parametrize("record, equal, other", _value_pairs(),
-                         ids=["PlaneMaterial", "Layer", "Section", "GeneralizedState"])
+                         ids=["PlaneMaterial", "Section-from-columns", "Section",
+                              "GeneralizedState"])
 def test_value_records_compare_and_hash_by_value(record, equal, other):
     assert record is not equal and record == equal and hash(record) == hash(equal)
     assert record != other and not record == other

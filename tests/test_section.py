@@ -1,6 +1,8 @@
 """Section building, closure reduction, capacitance and stress recovery."""
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import pzbeam.section
 from pzbeam import (
     Closure,
     GeneralizedState,
-    Layer,
     LayupError,
     MaterialError,
     PlaneMaterial,
@@ -18,17 +19,22 @@ from pzbeam import (
     SectionConstitutive,
     as_plane,
     build_section,
+    builtin_materials,
     capacitance_per_length,
     compare_closures,
     isotropic_elastic,
     condense_to_plane,
     free_actuation_state,
+    load_layup,
     load_material_db,
     nsr_transverse_field,
     recover_stress_profile,
     reduce_section,
 )
 
+from conftest import section_of, section_of_layup
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 AL = condense_to_plane(isotropic_elastic("al", 69e9, 0.33, 2700.0))
 
 DIELECTRIC = PlaneMaterial(name="dielectric", Q11=60e9, Q12=18e9, Q22=60e9,
@@ -54,7 +60,7 @@ class TestBuildSection:
         assert s.width == pytest.approx(17.8e-3)
 
     def test_single_layer_interfaces(self):
-        s = Section(layers=(Layer(AL, 3e-3),), width=0.01)
+        s = section_of(((AL, 3e-3),), width=0.01)
         np.testing.assert_allclose(s.z_interfaces, (-1.5e-3, 1.5e-3), atol=1e-18)
 
     def test_unimorph_wiring(self):
@@ -88,19 +94,20 @@ class TestBuildSection:
 
     def test_poled_layer_needs_poling_for_coupling(self, pzt_plane):
         with pytest.raises(LayupError, match="poling"):
-            Layer(pzt_plane, 1e-3, poling=0)
+            section_of(((pzt_plane, 1e-3, 0),), width=0.01)
 
     def test_bad_inputs(self):
         with pytest.raises(LayupError):
-            Section(layers=(Layer(AL, 1e-3),), width=-1.0)
+            section_of(((AL, 1e-3),), width=-1.0)
         with pytest.raises(LayupError):
-            Section(layers=(Layer(AL, 1e-3),), width=0.01, wiring="serial")
+            section_of(((AL, 1e-3),), width=0.01, wiring="serial")
         with pytest.raises(LayupError):
-            Layer(AL, 0.0)
-        with pytest.raises(LayupError, match="poling must be -1, 0 or \\+1"):
-            Layer(AL, 1e-3, poling=2)
+            section_of(((AL, 0.0),), width=0.01)
+        for poling in (2, [1]):
+            with pytest.raises(LayupError, match="poling must be -1, 0 or \\+1"):
+                section_of(((AL, 1e-3, poling),), width=0.01)
         with pytest.raises(LayupError, match="at least one layer"):
-            Section(layers=(), width=0.01)
+            Section((), (), (), (), width=0.01)
 
     def test_electroded_must_be_bool(self):
         for value in ("false", "true", 0, 1, None):
@@ -178,22 +185,22 @@ class TestFiniteInputs:
         with pytest.raises(LayupError, match="finite"):
             build_section({"width_mm": "inf", "layers": [self.LAYER]})
         with pytest.raises(LayupError, match="finite"):
-            Section(layers=(Layer(AL, 1e-3),), width=np.inf)
+            section_of(((AL, 1e-3),), width=np.inf)
 
     def test_non_finite_thickness(self):
         with pytest.raises(LayupError, match="finite"):
             build_section({"width_mm": 10, "layers": [dict(self.LAYER, thickness_mm="inf")]})
         for thickness in (np.inf, np.nan):
             with pytest.raises(LayupError):
-                Layer(AL, thickness)
+                section_of(((AL, thickness),), width=0.01)
 
     @pytest.mark.parametrize("length", [0.5e-30, 2e30, 1e300])
     def test_length_out_of_range(self, length):
         bounds = f"must be positive and finite, between 1e-30 and 1e+30 m, got {length}"
         with pytest.raises(LayupError, match=re.escape(f"layer thickness {bounds}")):
-            Layer(AL, length)
+            section_of(((AL, length),), width=0.01)
         with pytest.raises(LayupError, match=re.escape(f"width {bounds}")):
-            Section(layers=(Layer(AL, 1e-3),), width=length)
+            section_of(((AL, 1e-3),), width=length)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix(self, bad):
@@ -258,7 +265,7 @@ class TestPositiveDefiniteness:
 class TestReduceSection:
     def test_single_elastic_layer_ns(self):
         e_mod, b, h = 69e9, 0.02, 1.5e-3
-        s = Section(layers=(Layer(AL, h),), width=b)
+        s = section_of(((AL, h),), width=b)
         k = reduce_section(s, "ns")
         assert k.extension_stiffness == pytest.approx(e_mod * b * h, rel=1e-12)
         assert k.bending_stiffness == pytest.approx(e_mod * b * h ** 3 / 12, rel=1e-12)
@@ -266,7 +273,7 @@ class TestReduceSection:
 
     def test_single_elastic_layer_nd(self):
         e_mod, nu, b, h = 69e9, 0.33, 0.02, 1.5e-3
-        s = Section(layers=(Layer(AL, h),), width=b)
+        s = section_of(((AL, h),), width=b)
         k = reduce_section(s, "nd")
         assert k.extension_stiffness == pytest.approx(e_mod * b * h / (1 - nu ** 2), rel=1e-12)
         assert k.bending_stiffness == pytest.approx(e_mod * b * h ** 3 / (12 * (1 - nu ** 2)),
@@ -312,7 +319,7 @@ class TestReduceSection:
 class TestCapacitance:
     def test_dielectric_limit(self):
         b, h = 0.02, 1e-3
-        s = Section(layers=(Layer(DIELECTRIC, h, poling=+1, electroded=True),), width=b)
+        s = section_of(((DIELECTRIC, h, +1, True),), width=b)
         k = reduce_section(s, "nsr")
         expected = DIELECTRIC.eps33 * b / h
         assert capacitance_per_length(k, "blocked") == pytest.approx(expected, rel=1e-12)
@@ -350,7 +357,7 @@ class TestCapacitance:
 
 class TestTransverseField:
     def test_single_homogeneous_elastic_layer(self):
-        s = Section(layers=(Layer(AL, 2e-3),), width=0.01)
+        s = section_of(((AL, 2e-3),), width=0.01)
         a, b = nsr_transverse_field(s)[0]   # unit eps
         assert a == pytest.approx(-AL.Q12 / AL.Q22, rel=1e-12)
         assert abs(b) < 1e-9
@@ -381,7 +388,7 @@ class TestStressProfile:
         assert profile.n2 == 0.0 and profile.m2 == 0.0
 
     def test_nd_closure_uniform_reaction(self):
-        s = Section(layers=(Layer(AL, 2e-3),), width=0.01)
+        s = section_of(((AL, 2e-3),), width=0.01)
         eps = 1e-4
         profile = recover_stress_profile(s, "nd", GeneralizedState(eps=eps))
         np.testing.assert_allclose(profile.samples[:, 3], AL.Q12 * eps, rtol=1e-12)
@@ -403,7 +410,7 @@ class TestStressProfile:
         state = GeneralizedState(eps=5e-5, kappa=0.1, voltages=(50.0,))
         profile = recover_stress_profile(unimorph, "nsr", state, samples_per_layer=3)
         z = unimorph.z_interfaces
-        for i in range(len(unimorph.layers)):
+        for i in range(len(unimorph.thicknesses)):
             zm = 0.5 * (z[i] + z[i + 1])
             c0, c1 = profile.t11_coefficients[i]
             row = profile.samples[3 * i + 1]
@@ -440,7 +447,7 @@ class TestTransverseResultants:
 
     def test_pure_gradient_closed_form(self):
         # T22 = c*z over a single centered layer: N2 = 0, M2 = c h^3 / 12
-        s = Section(layers=(Layer(AL, 2e-3),), width=0.01)
+        s = section_of(((AL, 2e-3),), width=0.01)
         profile = recover_stress_profile(s, "nd", GeneralizedState(kappa=0.1))
         c = AL.Q12 * 0.1
         n2, m2 = profile.n2, profile.m2
@@ -450,7 +457,7 @@ class TestTransverseResultants:
 
 class TestCompareClosures:
     def test_elastic_stack_decoupled(self):
-        s = Section(layers=(Layer(AL, 1e-3), Layer(AL, 2e-3)), width=0.01)
+        s = section_of(((AL, 1e-3), (AL, 2e-3)), width=0.01)
         rows = compare_closures(s)
         assert all(row.capacitance == 0.0 for row in rows)
         assert all(row.bending_voltage_coupling == 0.0 for row in rows)
@@ -459,7 +466,7 @@ class TestCompareClosures:
         assert ratio == pytest.approx(1 / (1 - 0.33 ** 2), rel=1e-12)
 
     def test_single_piezo_layer_ns_equals_nsr(self, pzt_plane):
-        s = Section(layers=(Layer(pzt_plane, 0.5e-3, poling=+1, electroded=True),), width=0.02)
+        s = section_of(((pzt_plane, 0.5e-3, +1, True),), width=0.02)
         by = {row.closure: row for row in compare_closures(s)}
         for attr in ("capacitance", "capacitance_free", "extension_stiffness",
                      "bending_stiffness_short", "bending_voltage_coupling"):
@@ -474,7 +481,7 @@ class TestCompareClosures:
 
     def test_single_piezo_layer_nd_differs(self, pzt_plane):
         # the rigid-transverse closure stays distinct whenever Q12 or e32 is live
-        s = Section(layers=(Layer(pzt_plane, 0.5e-3, poling=+1, electroded=True),), width=0.02)
+        s = section_of(((pzt_plane, 0.5e-3, +1, True),), width=0.02)
         by = {row.closure: row for row in compare_closures(s)}
         assert by[Closure.ND].capacitance != pytest.approx(
             by[Closure.NS].capacitance, rel=1e-3)
@@ -484,9 +491,9 @@ class TestCompareClosures:
 
 class TestIndependentWiring:
     def test_two_terminal_capacitance_blocks(self, pzt_plane):
-        s = Section(layers=(
-            Layer(pzt_plane, 0.4e-3, poling=+1, electroded=True),
-            Layer(pzt_plane, 0.4e-3, poling=-1, electroded=True),
+        s = section_of((
+            (pzt_plane, 0.4e-3, +1, True),
+            (pzt_plane, 0.4e-3, -1, True),
         ), width=0.02, wiring="independent")
         # pointwise closures keep the terminals electrically independent
         k_ns = reduce_section(s, "ns")
@@ -498,11 +505,11 @@ class TestIndependentWiring:
         assert k_nsr.cq[0, 1] == pytest.approx(k_nsr.cq[1, 0], rel=1e-12)
 
     def test_parallel_equals_summed_independent_charge(self, pzt_plane, al_plane):
-        layers = (Layer(pzt_plane, 0.3e-3, poling=-1, electroded=True),
-                  Layer(al_plane, 1.5e-3),
-                  Layer(pzt_plane, 0.3e-3, poling=+1, electroded=True))
-        par = reduce_section(Section(layers=layers, width=0.02), "nsr")
-        ind = reduce_section(Section(layers=layers, width=0.02, wiring="independent"), "nsr")
+        layers = ((pzt_plane, 0.3e-3, -1, True),
+                  (al_plane, 1.5e-3),
+                  (pzt_plane, 0.3e-3, +1, True))
+        par = reduce_section(section_of(layers, width=0.02), "nsr")
+        ind = reduce_section(section_of(layers, width=0.02, wiring="independent"), "nsr")
         # same voltage on every independent terminal == the parallel hookup
         ones = np.ones(2)
         assert par.cq[0, 0] == pytest.approx(ones @ ind.cq @ ones, rel=1e-12)
@@ -636,25 +643,24 @@ class TestSharedTable:
 
 
 class TestLayerRecords:
-    """build_section fills the section's columns; Layer records wait for .layers."""
+    """The Section constructor is the one place that checks the layer rules."""
 
     LAYUP = {"width_mm": 12.0, "wiring": "independent", "layers": [
         {"material": "PZT-5H", "thickness_mm": 0.2, "poling": "-z" if i % 4 else "+z",
          "electroded": True} if i % 2 == 0 else {"material": "Al-6061", "thickness_mm": 0.5}
         for i in range(95)]}
 
-    def test_no_records_on_the_reduction_path(self, count_calls):
-        calls = count_calls(Layer, "__init__")
-        section = build_section(self.LAYUP)
+    def test_no_layer_checks_on_the_reduction_path(self, count_calls):
+        built = build_section(self.LAYUP)
+        calls = count_calls(pzbeam.section, "_check_layer")
+        section = Section(*built._columns, built.width, built.wiring)
+        assert len(calls) == 3 and section == built
         for closure in ("nd", "ns", "nsr"):
             reduce_section(section, closure)
         state = GeneralizedState(eps=1e-4, kappa=0.2,
                                  voltages=tuple(range(section.n_terminals)))
         recover_stress_profile(section, "nsr", state)
-        assert section.n_terminals == 48 and len(calls) == 0
-        layers = section.layers
-        assert len(calls) == 95
-        assert section.layers is layers and len(calls) == 95
+        assert section.n_terminals == 48 and len(calls) == 3
 
     def test_layers_are_checked_once_per_kind_and_one_by_one_on_a_fault(self, count_calls):
         calls = count_calls(pzbeam.section, "_check_layer")
@@ -666,6 +672,56 @@ class TestLayerRecords:
         with pytest.raises(LayupError, match="layer thickness"):
             build_section(bad)
         assert len(calls) == 95
+
+
+class TestConstructor:
+    """Section(materials, thicknesses, polings, electroded, width, wiring)."""
+
+    @pytest.mark.parametrize("at", [1, 2])
+    def test_nan_thickness_above_the_first_layer_is_rejected(self, at):
+        h = [1e-3, 2e-3, 3e-3]
+        h[at] = np.nan
+        assert 1e-30 <= min(h) and max(h) <= 1e30       # min and max skip it
+        with pytest.raises(LayupError, match="layer thickness must be positive and finite"):
+            section_of([(AL, t) for t in h], width=0.01)
+
+    def test_columns_of_unequal_length_and_an_empty_stack_are_rejected(self):
+        with pytest.raises(LayupError, match=re.escape("differ in length: (2, 1, 2, 2)")):
+            Section((AL, AL), (1e-3,), (0, 0), (False, False), 0.01)
+        with pytest.raises(LayupError, match="differ in length"):
+            Section((AL,), (1e-3,), (0,), (), 0.01)
+        with pytest.raises(LayupError, match="at least one layer"):
+            Section((), (), (), (), 0.01)
+
+    @pytest.mark.parametrize("name", ["sandwich", "unimorph", "bimorph"])
+    def test_shipped_layup_equals_the_section_of_its_columns(self, name):
+        layup = json.loads((DOCS / f"{name}.json").read_text())
+        planes = {key: as_plane(record) for key, record in builtin_materials().items()}
+        direct = section_of_layup(layup, planes)
+        built = load_layup(DOCS / f"{name}.json")
+        assert built == direct and hash(built) == hash(direct)
+        for closure in ("nd", "ns", "nsr"):
+            assert (reduce_section(built, closure).matrix.tobytes()
+                    == reduce_section(direct, closure).matrix.tobytes())
+
+    def test_a_direct_call_names_the_first_faulty_layer(self, pzt_plane):
+        # layer 2 (PZT-5H with no poling) is the first faulty one; layer 3 fails too
+        rows = [(AL, 1e-3), (pzt_plane, 1e-3, 1, True), (pzt_plane, 2e-3), (AL, 1e-3, 0, True)]
+        layup = {"width_mm": 10, "layers": [
+            {"material": "Al-6061", "thickness_mm": 1.0},
+            {"material": "PZT-5H", "thickness_mm": 1.0, "poling": "+z", "electroded": True},
+            {"material": "PZT-5H", "thickness_mm": 2.0},
+            {"material": "Al-6061", "thickness_mm": 1.0, "electroded": True}]}
+        for bad in (None, 0.0):     # checked per kind, then layer by layer
+            if bad is not None:
+                rows[3] = (AL, bad, 0, True)
+                layup["layers"][3]["thickness_mm"] = bad
+            with pytest.raises(LayupError) as built:
+                build_section(layup)
+            with pytest.raises(LayupError) as direct:
+                section_of(rows, width=0.01)
+            assert str(direct.value) == str(built.value)
+            assert "PZT-5H has piezoelectric coupling" in str(built.value)
 
 
 class TestMaterialMemo:
@@ -692,8 +748,8 @@ class TestMaterialMemo:
         assert calls == {"convert_d_to_e": 1, "builtin_materials": 0}
         second = build_section(MIXED_LAYUP, db)
         assert calls == {"convert_d_to_e": 1, "builtin_materials": 0}
-        assert first.layers[0].material is second.layers[0].material
-        assert as_plane(db["PZT-5H"]) is first.layers[0].material
+        assert first.materials[0] is second.materials[0]
+        assert as_plane(db["PZT-5H"]) is first.materials[0]
 
     def test_mapping_shadows_builtin(self, calls):
         custom = isotropic_elastic("PZT-5H", 80e9, 0.3, 7000.0)
@@ -704,7 +760,7 @@ class TestMaterialMemo:
             {"material": "Al-6061", "thickness_mm": 1.0},
         ]}
         section = build_section(layup, {"PZT-5H": custom})
-        assert section.layers[0].material is custom.plane
-        assert section.layers[2].material is custom.plane
+        assert section.materials[0] is custom.plane
+        assert section.materials[2] is custom.plane
         # Al-6061 is missing from the mapping: the built-ins are built once
         assert calls == {"convert_d_to_e": 0, "builtin_materials": 1}
