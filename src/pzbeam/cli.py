@@ -9,14 +9,26 @@ Unit suffixes are accepted on the command line only (100mm, 2.86nF/mm,
 the field name, plus a display block in the table units.
 
 Run as a program (`python -m pzbeam.cli`, the `pzbeam` console script), the
-module sets OPENBLAS_NUM_THREADS=1 before numpy loads unless it is set: the
-CLI's small solves never use a second BLAS thread, which costs about 90 ms
-of CPU to start. It then runs main(), the atexit handlers and a flush of stdout
-and stderr, and leaves by os._exit, skipping the teardown of numpy and every other
-module (about 20 ms). Importing the module or calling main() does none of this.
+module first turns off the cyclic garbage collector and sets
+OPENBLAS_NUM_THREADS=1 unless it is set, before argparse, json and numpy
+load. With the collector on, those imports collect 34 times, 6-8 ms per
+call; nothing needs collecting, since a run leaves about 750 objects in
+reference cycles and the process ends by os._exit. The CLI's small solves
+never use a second BLAS thread, which costs about 90 ms of CPU to start. It
+then runs main(), the atexit handlers and a flush of stdout and stderr, and
+leaves by os._exit, skipping the teardown of numpy and every other module
+(about 20 ms). Importing the module or calling main() does none of this: the
+environment and the collector stay as they were.
 """
 
 from __future__ import annotations
+
+if __name__ == "__main__":    # before the imports: none of them collects, numpy sees the default
+    import gc
+    import os
+
+    gc.disable()
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import atexit
@@ -27,9 +39,6 @@ import math
 import os
 import sys
 from typing import NamedTuple
-
-if __name__ == "__main__":
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -314,14 +323,33 @@ _COMMANDS = {"reduce": _reduce, "compare": _compare, "stress": _stress,
              "beam-modal": _beam_modal}
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it.
+
+    Under PYTHONUNBUFFERED the text layer writes to the raw file, whose
+    write may take only part of the bytes (a pipe whose reader left), and
+    drops the rest without an error; there the encoded text is written until
+    all of it is taken or a write fails.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[raw.write(data):]
+    else:
+        out.write(text)
+    out.flush()
+
+
 def run(args: argparse.Namespace) -> int:
     section = load_layup(args.layup_path, material_db=load_material_db(args.material_db_path))
     with np.errstate(over="raise", invalid="raise"):    # underflow to 0 is fine
         report = _COMMANDS[args.command](section, args)
     text = _RENDERERS[args.output](args.command, report)
     try:    # reported here: main() takes any other OSError for an unreadable input
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write_stdout(text)
     except (AttributeError, OSError) as exc:    # stdout None (closed), a full disk, a broken pipe
         print(f"pzbeam: output error: {exc if sys.stdout else 'no stdout'}", file=sys.stderr)
         return 1

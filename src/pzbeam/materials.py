@@ -271,19 +271,22 @@ def _swap_axes_12(m: np.ndarray) -> np.ndarray:
 
 def convert_d_to_e(m: MaterialDForm) -> Material3D:
     """Convert a d-form record to e-form: cE = sE^-1, e = d cE, epsS = epsT - d cE d^T."""
-    cE = np.linalg.inv(m.sE)    # sE is symmetric positive definite, so invertible
-    cE = 0.5 * (cE + cE.T)
-    e = m.d @ cE
-    epsS = m.epsT - m.d @ cE @ m.d.T
-    epsS = 0.5 * (epsS + epsS.T)
-    # the conversion must commute with a 1<->2 material symmetry; averaging
-    # with the axis-swapped result removes the round-off bias of the generic
-    # inversion, so transversely isotropic inputs keep c11 = c22, e31 = e32
-    # exactly
-    if all(np.array_equal(a, _swap_axes_12(a)) for a in (m.sE, m.d, m.epsT)):
-        cE = 0.5 * (cE + _swap_axes_12(cE))
-        e = 0.5 * (e + _swap_axes_12(e))
-        epsS = 0.5 * (epsS + _swap_axes_12(epsS))
+    # constants near the float limits overflow to inf without a warning: the
+    # epsS check or Material3D rejects the record
+    with np.errstate(over="ignore"):
+        cE = np.linalg.inv(m.sE)    # sE is symmetric positive definite, so invertible
+        cE = 0.5 * (cE + cE.T)
+        e = m.d @ cE
+        epsS = m.epsT - m.d @ cE @ m.d.T
+        epsS = 0.5 * (epsS + epsS.T)
+        # the conversion must commute with a 1<->2 material symmetry; averaging
+        # with the axis-swapped result removes the round-off bias of the generic
+        # inversion, so transversely isotropic inputs keep c11 = c22, e31 = e32
+        # exactly
+        if all(np.array_equal(a, _swap_axes_12(a)) for a in (m.sE, m.d, m.epsT)):
+            cE = 0.5 * (cE + _swap_axes_12(cE))
+            e = 0.5 * (e + _swap_axes_12(e))
+            epsS = 0.5 * (epsS + _swap_axes_12(epsS))
     if not _is_positive_definite(epsS):
         raise MaterialError(f"{m.name}: inconsistent constants (epsS not positive definite)")
     return Material3D(name=m.name, cE=cE, e=e, epsS=epsS,
@@ -295,7 +298,7 @@ def condense_to_plane(m: Material3D) -> PlaneMaterial:
 
     Q_ij   = cE_ij - cE_i3 (cE_j3 / cE_33)        (i, j in {1, 2}; divided first, so no overflow)
     e3i    = e_3i - e_33 / (cE_33 / cE_i3)        (term 0 if cE_i3 = 0 or the ratio is inf)
-    eps33  = epsS_33 + e_33^2 / cE_33
+    eps33  = epsS_33 + e_33^2 / cE_33             (inf on overflow: PlaneMaterial rejects it)
     """
     c33 = m.cE[2, 2]
     if c33 <= 0.0:
@@ -303,7 +306,7 @@ def condense_to_plane(m: Material3D) -> PlaneMaterial:
     q = {(i, j): m.cE[i, j] - m.cE[i, 2] * (m.cE[j, 2] / c33) for i in (0, 1) for j in (0, 1)}
     with np.errstate(divide="ignore", over="ignore"):
         e31, e32 = m.e[2, :2] - m.e[2, 2] / (c33 / m.cE[:2, 2])
-    eps33 = m.epsS[2, 2] + m.e[2, 2] ** 2 / c33
+        eps33 = m.epsS[2, 2] + m.e[2, 2] ** 2 / c33
     return PlaneMaterial(name=m.name, Q11=q[(0, 0)], Q12=q[(0, 1)], Q22=q[(1, 1)],
                          e31=e31, e32=e32, eps33=eps33, density=m.density)
 

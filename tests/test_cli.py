@@ -100,6 +100,19 @@ class TestExitCodes:
         assert code == 2
         assert "unknown material" in err
 
+    def test_overflowing_material_is_one_line_input_error(self, capsys, tmp_path):
+        # d x 1e200 overflows in the d-to-e conversion: no RuntimeWarning, only the error
+        db = json.loads((DOCS / "materials.json").read_text())
+        pzt = next(m for m in db["materials"] if m["form"] == "d")
+        pzt["d_m_per_V"] = [[v * 1e200 for v in row] for row in pzt["d_m_per_V"]]
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [pzt]}))
+        code, out, err = run_cli(capsys, "compare", "--layup", SANDWICH,
+                                 "--materials", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("pzbeam: input error: PZT-5H: inconsistent constants "
+                       "(epsS not positive definite)\n")
+
     def test_computation_error(self, capsys, monkeypatch):
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")

@@ -366,6 +366,29 @@ class TestMaterialDb:
             want = getattr(reference, field)
             assert abs(getattr(big, field) - want) <= 4 * np.spacing(abs(want))
 
+    @pytest.mark.parametrize("form, field", [("d", "sE"), ("d", "d"), ("d", "epsT"),
+                                             ("e", "cE"), ("e", "e"), ("e", "epsS")])
+    def test_constants_scaled_to_the_float_limits_condense_or_are_rejected(self, form, field):
+        # d x 1e200 overflowed in d cE d^T and e_33 >= 1e160 in e_33 ** 2, each with a
+        # RuntimeWarning before the MaterialError
+        pzt = builtin_materials()["PZT-5H"]
+        record = pzt if form == "d" else convert_d_to_e(pzt)
+        values = {name: getattr(record, name) for name in record._fields}
+        condensed = []
+        for k in range(-300, 301, 4):
+            with np.errstate(over="ignore"):    # cE x 1e300 is inf: the record rejects it
+                scaled = values[field] * 10.0 ** k
+            try:
+                plane = as_plane(type(record)(**{**values, field: scaled}))
+            except MaterialError:
+                continue
+            except RuntimeWarning as warning:
+                pytest.fail(f"{field} x 1e{k}: {warning}")
+            assert all(np.isfinite([plane.Q11, plane.Q12, plane.Q22, plane.e31, plane.e32,
+                                    plane.eps33]))
+            condensed.append(k)
+        assert 0 in condensed
+
     def test_no_thickness_coupling_leaves_e31_and_e32_as_they_are(self):
         e_form = convert_d_to_e(builtin_materials()["PZT-5H"])
         cE = np.array(e_form.cE)

@@ -1,11 +1,13 @@
-"""What a CLI start loads, how the CLI process ends, and its one-thread BLAS default.
+"""What a CLI start loads, how the CLI process ends, its one-thread BLAS default
+and its disabled cyclic garbage collector.
 
 Each check runs in a fresh interpreter, since the test process has long
-imported everything. The pzbeam CLI process sets OPENBLAS_NUM_THREADS to 1
-before numpy loads unless it is already set; importing pzbeam.cli or calling
-main() in process must leave the environment alone. The process leaves by
-os._exit after its atexit handlers and a flush, so it must print exactly what
-main() prints in process and end cleanly when stdout fails.
+imported everything. The pzbeam CLI process turns the collector off and sets
+OPENBLAS_NUM_THREADS to 1 (unless it is already set) before numpy loads;
+importing pzbeam.cli or calling main() in process must leave the environment
+and the collector alone. The process leaves by os._exit after its atexit
+handlers and a flush, so it must print exactly what main() prints in process
+and end cleanly when stdout fails, buffered or not.
 """
 
 import contextlib
@@ -29,10 +31,11 @@ SRC = ROOT / "src"
 LAYUPS = [ROOT / "docs" / f"{name}.json" for name in ("bimorph", "sandwich", "unimorph")]
 SANDWICH = str(ROOT / "docs" / "sandwich.json")
 
-# installed as sitecustomize: records OPENBLAS_NUM_THREADS at the moment numpy
-# is first imported, and writes it to blas.json when the interpreter exits
+# installed as sitecustomize: records OPENBLAS_NUM_THREADS and whether the
+# cyclic collector is on at the moment numpy is first imported, and writes them
+# to numpy_import.json when the interpreter exits
 _PROBE = """
-import atexit, json, os, sys
+import atexit, gc, json, os, sys
 
 _seen = []
 
@@ -41,12 +44,13 @@ class _NumpyImportProbe:
     @staticmethod
     def find_spec(name, path=None, target=None):
         if name == "numpy" and not _seen:
-            _seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+            _seen.append({"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                          "gc_enabled": gc.isenabled()})
         return None
 
 
 sys.meta_path.insert(0, _NumpyImportProbe)
-atexit.register(lambda: open(os.path.join(os.path.dirname(__file__), "blas.json"), "w")
+atexit.register(lambda: open(os.path.join(os.path.dirname(__file__), "numpy_import.json"), "w")
                 .write(json.dumps(_seen)))
 """
 
@@ -56,6 +60,14 @@ def _env(blas=None, path=(), drop=()):
     env["PYTHONPATH"] = os.pathsep.join([*map(str, path), str(SRC)])
     if blas is not None:
         env["OPENBLAS_NUM_THREADS"] = blas
+    return env
+
+
+def _stdout_env(unbuffered):
+    """_env with buffered stdout, or unbuffered as under PYTHONUNBUFFERED=1."""
+    env = _env(drop=["PYTHONUNBUFFERED"])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return env
 
 
@@ -110,11 +122,12 @@ def test_every_export_resolves():
         pzbeam.not_exported
 
 
-def _blas_at_numpy_import(tmp_path, blas, args):
-    """OPENBLAS_NUM_THREADS as numpy saw it, in a child run with args."""
+def _at_numpy_import(tmp_path, blas, args):
+    """OPENBLAS_NUM_THREADS and gc.isenabled() as numpy's import saw them, in a child run."""
     (tmp_path / "sitecustomize.py").write_text(_PROBE)
     _python(args, _env(blas, path=[tmp_path]))
-    return json.loads((tmp_path / "blas.json").read_text())
+    seen, = json.loads((tmp_path / "numpy_import.json").read_text())
+    return seen
 
 
 CLI_ARGS = ["reduce", "--layup", "docs/sandwich.json"]
@@ -122,7 +135,8 @@ CLI_ARGS = ["reduce", "--layup", "docs/sandwich.json"]
 
 @pytest.mark.parametrize("blas, expected", [(None, "1"), ("2", "2")])
 def test_cli_process_defaults_to_one_blas_thread(tmp_path, blas, expected):
-    assert _blas_at_numpy_import(tmp_path, blas, ["-m", "pzbeam.cli", *CLI_ARGS]) == [expected]
+    seen = _at_numpy_import(tmp_path, blas, ["-m", "pzbeam.cli", *CLI_ARGS])
+    assert seen["OPENBLAS_NUM_THREADS"] == expected
 
 
 def _console_script(argv):
@@ -134,7 +148,14 @@ def _console_script(argv):
 
 
 def test_console_script_is_the_same_process(tmp_path):
-    assert _blas_at_numpy_import(tmp_path, None, _console_script(CLI_ARGS)) == ["1"]
+    seen = _at_numpy_import(tmp_path, None, _console_script(CLI_ARGS))
+    assert seen["OPENBLAS_NUM_THREADS"] == "1"
+
+
+@pytest.mark.parametrize("args", [["-m", "pzbeam.cli", *CLI_ARGS], _console_script(CLI_ARGS)],
+                         ids=["module", "console-script"])
+def test_cli_process_imports_numpy_with_the_collector_off(tmp_path, args):
+    assert _at_numpy_import(tmp_path, None, args)["gc_enabled"] is False
 
 
 def test_importing_and_calling_main_leave_the_environment_alone():
@@ -147,6 +168,18 @@ def test_importing_and_calling_main_leave_the_environment_alone():
         print(json.dumps(sorted(set(os.environ.items()) ^ set(before.items()))))
     """)
     assert changed == []
+
+
+def test_importing_and_calling_main_leave_the_collector_on():
+    enabled = _run_code(f"""
+        import contextlib, gc, io, json
+        import pzbeam.cli
+        after_import = gc.isenabled()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert pzbeam.cli.main({CLI_ARGS!r}) == 0
+        print(json.dumps([after_import, gc.isenabled()]))
+    """)
+    assert enabled == [True, True]
 
 
 @pytest.mark.parametrize("layup", LAYUPS, ids=lambda p: p.stem)
@@ -211,11 +244,8 @@ _OUTPUT_ERROR = "pzbeam: output error: {}\n"
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_full_disk_is_one_line_output_error(unbuffered):
-    env = _env(drop=["PYTHONUNBUFFERED"])
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "wb") as full:
-        child = _child(["-m", "pzbeam.cli", *CLI_ARGS], env, stdout=full)
+        child = _child(["-m", "pzbeam.cli", *CLI_ARGS], _stdout_env(unbuffered), stdout=full)
     assert child.returncode == 1
     assert child.stderr.decode() == _OUTPUT_ERROR.format("[Errno 28] No space left on device")
 
@@ -227,10 +257,12 @@ def test_closed_stdout_is_one_line_output_error():
     assert child.stderr.decode() == _OUTPUT_ERROR.format("no stdout")
 
 
-def test_broken_pipe_is_one_line_output_error():
-    # 2 MB: far more than a pipe holds, so the write is still going when the reader leaves
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_broken_pipe_is_one_line_output_error(unbuffered):
+    # 2 MB: far more than a pipe holds, so the write is still going when the reader
+    # leaves; unbuffered, that write returns short before the next one fails
     argv = ["-m", "pzbeam.cli", "stress", "--layup", SANDWICH, "--points", "20000"]
-    with subprocess.Popen([sys.executable, *argv], env=_env(drop=["PYTHONUNBUFFERED"]), cwd=ROOT,
+    with subprocess.Popen([sys.executable, *argv], env=_stdout_env(unbuffered), cwd=ROOT,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
         assert child.stdout.read(10)
         child.stdout.close()
