@@ -328,19 +328,21 @@ def _write_stdout(text: str) -> None:
 
     Under PYTHONUNBUFFERED the text layer writes to the raw file, whose
     write may take only part of the bytes (a pipe whose reader left), and
-    drops the rest without an error; there the encoded text is written until
-    all of it is taken or a write fails.
+    drops the rest without an error. There the text goes through a buffered
+    text layer of its own on the same file descriptor: it encodes as stdout's
+    would (a BOM only where stdout would write one), its buffer retries a short
+    write until all is taken or a write fails, and closing it leaves the
+    descriptor open.
     """
     out = sys.stdout
-    raw = getattr(out, "buffer", None)
-    if isinstance(raw, io.RawIOBase):
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):
         out.flush()
-        data = memoryview(text.encode(out.encoding, out.errors))
-        while data:
-            data = data[raw.write(data):]
+        with io.TextIOWrapper(io.BufferedWriter(io.FileIO(out.fileno(), "w", closefd=False)),
+                              out.encoding, out.errors) as buffered:
+            buffered.write(text)
     else:
         out.write(text)
-    out.flush()
+        out.flush()
 
 
 def run(args: argparse.Namespace) -> int:

@@ -271,9 +271,9 @@ def _swap_axes_12(m: np.ndarray) -> np.ndarray:
 
 def convert_d_to_e(m: MaterialDForm) -> Material3D:
     """Convert a d-form record to e-form: cE = sE^-1, e = d cE, epsS = epsT - d cE d^T."""
-    # constants near the float limits overflow to inf without a warning: the
-    # epsS check or Material3D rejects the record
-    with np.errstate(over="ignore"):
+    # constants near the float limits overflow to inf, or to nan in inf - inf and
+    # inf * 0, without a warning: the epsS check or Material3D rejects the record
+    with np.errstate(over="ignore", invalid="ignore"):
         cE = np.linalg.inv(m.sE)    # sE is symmetric positive definite, so invertible
         cE = 0.5 * (cE + cE.T)
         e = m.d @ cE
@@ -287,7 +287,7 @@ def convert_d_to_e(m: MaterialDForm) -> Material3D:
             cE = 0.5 * (cE + _swap_axes_12(cE))
             e = 0.5 * (e + _swap_axes_12(e))
             epsS = 0.5 * (epsS + _swap_axes_12(epsS))
-    if not _is_positive_definite(epsS):
+    if not (np.isfinite(epsS).all() and _is_positive_definite(epsS)):
         raise MaterialError(f"{m.name}: inconsistent constants (epsS not positive definite)")
     return Material3D(name=m.name, cE=cE, e=e, epsS=epsS,
                       density=m.density, provenance=m.provenance)
@@ -388,8 +388,16 @@ def _record_from_json(entry, prefix):
     if type(form) is not str or form not in _FORMS:
         raise MaterialError(f"invalid material {name}: unknown form {form!r}")
     record_type, fields = _FORMS[form]
+    invalid = f"invalid material {name}: "
     _, _, *matrices, density, provenance = _read_fields(
-        entry, fields, f"{form}-form record", MaterialError, f"invalid material {name}: ")
+        entry, fields, f"{form}-form record", MaterialError, invalid)
+    for key, matrix in zip(list(fields)[2:5], matrices):
+        # an entry must be a JSON number, as a thickness must: not a string, bool or null
+        for row in matrix if type(matrix) is list else ():
+            for value in row if type(row) is list else (row,):
+                if type(value) not in _NUMBER:
+                    raise MaterialError(f"{invalid}field {key!r} must be a matrix of numbers, "
+                                        f"got {value!r}")
     return record_type(name, *matrices, density=float(density), provenance=provenance)
 
 

@@ -137,10 +137,11 @@ class Section(_Record):
     """A stack of layers, bottom to top, as four columns, with width and electrode wiring.
 
     The columns are plane materials, thicknesses in m, polings and electroded
-    flags; the constructor names the first faulty layer (see _check_layer).
-    wiring 'parallel' joins all electroded layers into one terminal pair;
-    'independent' gives every electroded layer its own terminal (ordered
-    bottom to top). The table the reductions read is built once, on first use.
+    flags; the constructor checks the layers in order and names the first
+    faulty one (see _check_layer). wiring 'parallel' joins all electroded
+    layers into one terminal pair; 'independent' gives every electroded layer
+    its own terminal (ordered bottom to top). The table the reductions read
+    is built once, on first use.
     """
 
     def __init__(self, materials, thicknesses, polings, electroded, width: float,
@@ -151,17 +152,7 @@ class Section(_Record):
             raise LayupError("section needs at least one layer")
         if not len(materials) == len(h) == len(polings) == len(electroded):
             raise LayupError(f"section columns differ in length: {tuple(map(len, columns))}")
-        layers = zip(*columns)
-        # min and max skip a NaN that is not first, but the sum carries it
-        if 1e-30 <= min(h) and max(h) <= 1e30 and not math.isnan(sum(h)):
-            # every thickness is in bounds, so a kind's first layer fails as all of its
-            # layers do: the first kind with a fault holds the first faulty layer
-            try:
-                kinds = dict(zip(zip(map(id, materials), polings, electroded), materials))
-                layers = [(m, h[0], poling, flag) for (_, poling, flag), m in kinds.items()]
-            except TypeError:       # an unhashable poling or flag: check layer by layer
-                pass
-        for layer in layers:
+        for layer in zip(*columns):
             _check_layer(*layer)
         _check_length(width, "width", LayupError)
         if wiring not in ("parallel", "independent"):
@@ -563,7 +554,7 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     names resolve against the optional materials mapping first and then
     against the built-in records, built only if a name is missing there.
     Each distinct name and poling key is resolved once, and the Section
-    constructor checks the layer rules; if a layer cannot be read or
+    constructor checks every layer in order; if a layer cannot be read or
     resolved, the layers are read one by one instead. Either way the first
     faulty layer, bottom to top, is named.
     """

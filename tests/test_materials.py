@@ -476,6 +476,13 @@ def _json_objects():
                                  "\\(did you mean 'materials'\\?\\)"),
     ("database", "materials", None, "database is missing key 'materials'"),
     ("database", "materials", 3, "field 'materials' must be a list, got 3"),
+    # matrix entries are JSON numbers: the first entry that is not one is named
+    ("e", "cE_Pa", [["6.9e10"] * 6] * 6, "field 'cE_Pa' must be a matrix of numbers, "
+                                         "got '6.9e10'"),
+    ("e", "e_C_per_m2", [[0.0] * 6, [0, False, 0, 0, 0, 0], [0.0] * 6],
+     "field 'e_C_per_m2' must be a matrix of numbers, got False"),
+    ("d", "epsT_F_per_m", [[1e-8, None, 0.0]] * 3, "field 'epsT_F_per_m' must be a matrix "
+                                                   "of numbers, got None"),
 ])
 def test_json_object_rejections_share_one_wording(tmp_path, table, key, value, message):
     # value None stands for the key left out; key None for the whole object replaced

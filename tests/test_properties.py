@@ -12,6 +12,7 @@ from pzbeam import (
     EPS0,
     GeneralizedState,
     LayupError,
+    Material3D,
     MaterialDForm,
     MaterialError,
     PlaneMaterial,
@@ -378,6 +379,30 @@ def test_dform_coupling_scaling_keeps_condensation_consistent(scale):
     assert m.epsS[2, 2] <= base.epsT[2, 2] + 1e-30
     q = np.array([[p.Q11, p.Q12], [p.Q12, p.Q22]])
     assert np.min(np.linalg.eigvalsh(q)) > 0.0
+
+
+def _random_spd(rng, n):
+    a = rng.standard_normal((n, n))
+    s = a @ a.T + 0.1 * np.eye(n)
+    return 0.5 * s + 0.5 * s.T
+
+
+@settings(max_examples=400, deadline=None)
+@given(form=st.sampled_from(("d", "e")), seed=st.integers(0, 2 ** 32 - 1),
+       exponents=st.lists(st.integers(-300, 300), min_size=3, max_size=3))
+def test_records_scaled_to_the_float_limits_condense_or_are_rejected(form, seed, exponents):
+    # a random SPD stiffness (compliance in d-form), coupling and SPD permittivity,
+    # each scaled by its own 10^k; a RuntimeWarning is an error in this suite
+    rng = np.random.default_rng(seed)
+    matrices = (_random_spd(rng, 6), rng.standard_normal((3, 6)), _random_spd(rng, 3))
+    record_type = MaterialDForm if form == "d" else Material3D
+    try:
+        plane = as_plane(record_type("scaled", *(m * 10.0 ** k for m, k in
+                                                 zip(matrices, exponents)), 1000.0))
+    except MaterialError:
+        return
+    assert np.isfinite([plane.Q11, plane.Q12, plane.Q22, plane.e31, plane.e32,
+                        plane.eps33]).all()
 
 
 @settings(max_examples=25, deadline=None)

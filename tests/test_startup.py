@@ -269,3 +269,19 @@ def test_broken_pipe_is_one_line_output_error(unbuffered):
         stderr = child.stderr.read().decode()
     assert child.returncode == 1
     assert stderr == _OUTPUT_ERROR.format("[Errno 32] Broken pipe")
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["pipe", "file"])
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
+def test_stdout_bytes_do_not_depend_on_buffering(tmp_path, encoding, to_file):
+    # the text layer writes a BOM at the start of a file but not to a pipe, for utf-16
+    argv = ["capacitance", "--layup", SANDWICH]
+    outputs = []
+    for unbuffered in (False, True):
+        env = {**_stdout_env(unbuffered), "PYTHONIOENCODING": encoding}
+        with open(tmp_path / "stdout", "wb") if to_file else contextlib.nullcontext() as file:
+            child = _child(["-m", "pzbeam.cli", *argv], env, stdout=file or subprocess.PIPE)
+        assert child.returncode == 0, child.stderr.decode()
+        outputs.append((tmp_path / "stdout").read_bytes() if to_file else child.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].decode(encoding).encode() == _in_process(argv)[1]
