@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
@@ -365,9 +365,21 @@ def _al_6061() -> Material3D:
                              provenance="generic Al-6061: E=69 GPa, nu=0.33")
 
 
-def builtin_materials() -> dict:
-    """The records that are always available, even with no database file."""
+@cache
+def _builtin_records() -> dict:
     return {"PZT-5H": _pzt_5h(), "Al-6061": _al_6061()}
+
+
+def builtin_materials() -> dict:
+    """The records that are always available, even with no database file.
+
+    The records are built once per process, on first use, and every call
+    returns a new dict over those same immutable records, so PZT-5H is
+    converted to e-form and condensed once (see as_plane). A name is
+    resolved by one rule everywhere: a database or mapping entry of the
+    same name replaces the built-in record.
+    """
+    return dict(_builtin_records())
 
 
 # per record form: the record type and the table of its keys, the matrices in field order

@@ -92,14 +92,17 @@ _CLOSURES = {c.value: c for c in Closure}
 
 
 def _check_length(value, what: str, error) -> None:
-    """Raise error unless value lies between 1e-30 and 1e30 m.
+    """Raise error unless value is a number between 1e-30 and 1e30 m, other than True.
 
     Beyond these bounds the field 1/h, the moment h^3 or the width-scaled
     matrix entries of a physical material can leave the double range.
     """
-    if not 1e-30 <= value <= 1e30:
-        raise error(f"{what} must be positive and finite, between 1e-30 and 1e+30 m, "
-                    f"got {value}")
+    try:    # a value that is not a number, or an array of several, raises here
+        if 1e-30 <= value <= 1e30 and value is not True:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise error(f"{what} must be positive and finite, between 1e-30 and 1e+30 m, got {value!r}")
 
 
 def _raise_singular(err, flag):
@@ -194,10 +197,13 @@ class GeneralizedState(_Record):
     """Kinematic state of the 1D model: S11(z) = eps + z*kappa plus voltages."""
 
     def __init__(self, eps: float = 0.0, kappa: float = 0.0, voltages=()):
-        voltages = tuple(map(float, voltages))
         vars(self).update(eps=eps, kappa=kappa, voltages=voltages)
-        if not all(map(math.isfinite, (eps, kappa) + voltages)):
-            raise LayupError(f"generalized state must be finite, got {self!r}")
+        try:    # float and math.isfinite raise on a value that is not a number
+            vars(self).update(voltages=tuple(map(float, voltages)))
+            if not all(map(math.isfinite, (eps, kappa) + self.voltages)):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise LayupError(f"generalized state must be finite numbers, got {self!r}") from None
 
 
 class SectionConstitutive(_Record):
@@ -551,24 +557,21 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     naming the nearest known key, and so is a missing required key; material,
     poling and wiring must be strings, width_mm and thickness_mm finite
     numbers (an int or a float, not a bool) and electroded a bool. Material
-    names resolve against the optional materials mapping first and then
-    against the built-in records, built only if a name is missing there.
-    Each distinct name and poling key is resolved once, and the Section
-    constructor checks every layer in order; if a layer cannot be read or
-    resolved, the layers are read one by one instead. Either way the first
-    faulty layer, bottom to top, is named.
+    names resolve against one mapping, the built-in records overlaid by the
+    optional materials mapping: an entry there shadows the built-in of its
+    name. Each distinct name and poling key is resolved once, and the
+    Section constructor checks every layer in order; if a layer cannot be
+    read or resolved, the layers are read one by one instead. Either way the
+    first faulty layer, bottom to top, is named.
     """
-    materials = materials or {}
     width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
     if not entries:
         raise LayupError("layup has no layers")
     columns = _read_columns(entries, _LAYER_FIELDS)
     names, thickness_mm, poling_keys, electroded = columns or ((),) * 4
-    distinct = set(names)
-    records = (materials if columns and materials.keys() >= distinct
-               else {**builtin_materials(), **materials})
+    records = {**builtin_materials(), **(materials or {})}
     try:
-        planes = {name: as_plane(records[name]) for name in distinct}
+        planes = {name: as_plane(records[name]) for name in set(names)}
         polings = tuple(map(_POLING.__getitem__, poling_keys))
     except (KeyError, MaterialError):
         columns = None

@@ -211,6 +211,13 @@ class TestModal:
                  boundary="free")
 
 
+    @pytest.mark.parametrize("length", ["0.1", None, 1j, np.array([0.1, 0.2]), True], ids=repr)
+    def test_length_that_is_not_a_number(self, sandwich, length):
+        with pytest.raises(BeamError, match=re.escape(
+                f"length must be positive and finite, between 1e-30 and 1e+30 m, "
+                f"got {length!r}")):
+            make_beam(sandwich, "nd", length)
+
 class TestCouplingFactor:
     def test_fixtures_and_ordering(self, sandwich):
         """Frozen from the reduced matrices of the shipped sandwich."""

@@ -183,6 +183,59 @@ def faulty_layups(draw):
     return layup, materials
 
 
+@st.composite
+def builtin_layups(draw):
+    """A valid layup over the built-in names, or one with a single planted fault:
+    a layer that cannot be read, an unknown name or poling, a broken layer rule or
+    a bad width."""
+    layers = []
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(("PZT-5H", "Al-6061")))
+        poling = draw(st.sampled_from(("+z", "-z") if name == "PZT-5H" else ("none",)))
+        layers.append({"material": name,
+                       "thickness_mm": draw(st.floats(0.005, 10.0) | st.integers(1, 5)),
+                       "poling": poling, "electroded": poling != "none" and draw(st.booleans())})
+    layup = {"width_mm": draw(st.floats(1.0, 100.0)),
+             "wiring": draw(st.sampled_from(("parallel", "independent"))), "layers": layers}
+    layer = draw(st.sampled_from(layers))
+    fault = draw(st.sampled_from((None, "read", "name", "poling", "rule", "width")))
+    if fault == "read":
+        layer[draw(st.sampled_from(sorted(_LAYER_FIELDS) + ["colour"]))] = None
+    elif fault == "name":
+        layer["material"] = draw(st.sampled_from(("Unobtainium", "pzt-5h", "")))
+    elif fault == "poling":
+        layer["poling"] = draw(st.sampled_from(("up", "+Z", "")))
+    elif fault == "rule":
+        rule = draw(st.sampled_from(("thickness", "unpoled", "electroded")))
+        if rule == "thickness":
+            layer["thickness_mm"] = draw(st.sampled_from(_EDGE_THICKNESS_MM))
+        else:
+            layer.update(material="PZT-5H" if rule == "unpoled" else "Al-6061",
+                         poling="none", electroded=rule == "electroded")
+    elif fault == "width":
+        layup["width_mm"] = draw(st.sampled_from((0, -1.0, 1e-40, 1e40)))
+    return layup
+
+
+def _built(layup, materials):
+    """The section and its three closures' matrix bytes, or the fault's type and message."""
+    try:
+        section = build_section(layup, materials)
+    except (LayupError, MaterialError) as fault:
+        return type(fault), str(fault)
+    return section, [reduce_section(section, closure).matrix.tobytes() for closure in CLOSURES]
+
+
+@settings(max_examples=200, deadline=None)
+@given(layup=builtin_layups())
+def test_every_mapping_of_the_built_in_names_builds_alike(layup):
+    builtins = builtin_materials()
+    used = {layer.get("material") for layer in layup["layers"]} & builtins.keys()
+    outcomes = [_built(layup, materials) for materials in (
+        None, builtins, load_material_db(), {name: builtins[name] for name in used})]
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
 @settings(max_examples=500, deadline=None)
 @given(drawn=faulty_layups())
 @example(drawn=({"width_mm": 10, "layers": [{"material": "Al-6061", "thickness_mm": 1e-40},

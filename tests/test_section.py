@@ -1,5 +1,6 @@
 """Section building, closure reduction, capacitance and stress recovery."""
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -201,6 +202,22 @@ class TestFiniteInputs:
             section_of(((AL, length),), width=0.01)
         with pytest.raises(LayupError, match=re.escape(f"width {bounds}")):
             section_of(((AL, 1e-3),), width=length)
+
+    NOT_NUMBERS = ["1", None, 1j, np.array([1e-3, 2e-3]), True]
+
+    @pytest.mark.parametrize("thickness", NOT_NUMBERS, ids=repr)
+    def test_thickness_that_is_not_a_number(self, thickness):
+        with pytest.raises(LayupError, match=re.escape(f"layer thickness must be positive "
+                                                       f"and finite, between 1e-30 and 1e+30 m, "
+                                                       f"got {thickness!r}")):
+            Section((AL,), (thickness,), (0,), (False,), 0.01)
+
+    @pytest.mark.parametrize("width", NOT_NUMBERS + ["0.01"], ids=repr)
+    def test_width_that_is_not_a_number(self, width):
+        with pytest.raises(LayupError, match=re.escape(f"width must be positive and finite, "
+                                                       f"between 1e-30 and 1e+30 m, "
+                                                       f"got {width!r}")):
+            Section((AL,), (1e-3,), (0,), (False,), width)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix(self, bad):
@@ -535,6 +552,15 @@ class TestGeneralizedState:
         with pytest.raises(LayupError, match="generalized state must be finite"):
             GeneralizedState(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [dict(eps="1"), dict(kappa=None), dict(eps=1j),
+                                        dict(kappa=np.array([1.0, 2.0])), dict(voltages=("x",)),
+                                        dict(voltages=(1.0, None)), dict(voltages=5)], ids=repr)
+    def test_values_that_are_not_numbers_rejected(self, kwargs):
+        (field, value), = kwargs.items()
+        with pytest.raises(LayupError, match="generalized state must be finite") as raised:
+            GeneralizedState(**kwargs)
+        assert f"{field}={value!r}" in str(raised.value)
+
     def test_finite_accepted(self):
         state = GeneralizedState(eps=1e-4, kappa=-0.2, voltages=(1, np.float64(2.5)))
         assert state.voltages == (1.0, 2.5)
@@ -726,6 +752,26 @@ class TestConstructor:
 
 class TestMaterialMemo:
     @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of the built-in record builds, under a fresh memo.
+
+        Earlier tests have filled the process's memo; monkeypatch puts it
+        back after the test.
+        """
+        counts = {"_pzt_5h": 0, "_al_6061": 0}
+        for name in counts:
+            build = getattr(pzbeam.materials, name)
+
+            def wrapper(build=build, name=name):
+                counts[name] += 1
+                return build()
+
+            monkeypatch.setattr(pzbeam.materials, name, wrapper)
+        monkeypatch.setattr(pzbeam.materials, "_builtin_records",
+                            functools.cache(pzbeam.materials._builtin_records.__wrapped__))
+        return counts
+
+    @pytest.fixture
     def calls(self, monkeypatch):
         counts = {"convert_d_to_e": 0, "builtin_materials": 0}
 
@@ -742,14 +788,30 @@ class TestMaterialMemo:
         counted(pzbeam.section, "builtin_materials")
         return counts
 
-    def test_second_build_converts_nothing(self, calls):
+    def test_second_build_converts_nothing(self, builds, calls):
+        # the built-in records are built, and PZT-5H converted, once per process
         db = load_material_db()
         first = build_section(MIXED_LAYUP, db)
-        assert calls == {"convert_d_to_e": 1, "builtin_materials": 0}
-        second = build_section(MIXED_LAYUP, db)
-        assert calls == {"convert_d_to_e": 1, "builtin_materials": 0}
-        assert first.materials[0] is second.materials[0]
-        assert as_plane(db["PZT-5H"]) is first.materials[0]
+        assert {**builds, **calls} == {"_pzt_5h": 1, "_al_6061": 1, "convert_d_to_e": 1,
+                                       "builtin_materials": 1}
+        mappings = (None, db, {}, builtin_materials(), load_material_db(), {"X": AL})
+        later = [build_section(MIXED_LAYUP, mapping) for mapping in mappings for _ in range(3)]
+        later.append(load_layup(DOCS / "sandwich.json"))
+        assert {**builds, **calls} == {"_pzt_5h": 1, "_al_6061": 1, "convert_d_to_e": 1,
+                                       "builtin_materials": 20}
+        assert all(s == first and s.materials[0] is first.materials[0] for s in later[:-1])
+        assert as_plane(db["PZT-5H"]) is first.materials[0] is later[-1].materials[0]
+
+    def test_each_call_returns_a_new_dict_over_the_same_records(self, builds):
+        first = builtin_materials()
+        first["PZT-5H"] = first.pop("Al-6061")
+        first["extra"] = None
+        again = builtin_materials()
+        assert again is not first and list(again) == ["PZT-5H", "Al-6061"]
+        assert isinstance(again["PZT-5H"], pzbeam.materials.MaterialDForm)
+        assert all(again[name] is builtin_materials()[name] for name in again)
+        assert build_section(MIXED_LAYUP).materials[0] is again["PZT-5H"].plane
+        assert builds == {"_pzt_5h": 1, "_al_6061": 1}
 
     def test_mapping_shadows_builtin(self, calls):
         custom = isotropic_elastic("PZT-5H", 80e9, 0.3, 7000.0)

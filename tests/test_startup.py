@@ -96,6 +96,24 @@ def test_import_pzbeam_loads_no_numpy():
     assert loaded == []
 
 
+def test_importing_the_modules_builds_no_material_record():
+    called, misses = _run_code("""
+        import json, sys
+        called = set()
+
+        def probe(frame, event, arg):
+            if event == "call" and "pzbeam" in frame.f_code.co_filename:
+                called.add(frame.f_code.co_name)
+
+        sys.setprofile(probe)
+        import pzbeam.materials, pzbeam.cli
+        sys.setprofile(None)
+        print(json.dumps([sorted(called), pzbeam.materials._builtin_records.cache_info().misses]))
+    """)
+    assert misses == 0
+    assert not {"_builtin_records", "_pzt_5h", "_al_6061", "__init__"} & set(called), called
+
+
 def test_cli_import_loads_no_dataclasses_and_no_oracle():
     added = _run_code("""
         import json, sys
