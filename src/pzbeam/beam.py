@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .materials import _Record
+from .materials import _TINY, _is_count, _is_real, _Record
 from .section import GeneralizedState, Section, SectionConstitutive, _bending_stiffness, \
     _check_length, reduce_section
 
@@ -25,12 +25,16 @@ class BeamError(ValueError):
 
 
 class Beam(_Record):
-    """Uniform beam: reduced section, mass per length (kg/m), length (m) and boundary."""
+    """Uniform beam: reduced section, mass per length (kg/m), length (m) and boundary.
+
+    The mass per length is a positive finite number and the length a number
+    from 1e-30 to 1e30 m (see materials._is_real).
+    """
 
     def __init__(self, constitutive: SectionConstitutive, mass_per_length: float, length: float,
                  boundary: str = "cantilever"):
-        if not mass_per_length > 0.0:
-            raise BeamError("mass per length must be positive")
+        if not _is_real(mass_per_length, _TINY):
+            raise BeamError(f"mass per length must be positive and finite, got {mass_per_length!r}")
         _check_length(length, "length", BeamError)
         if boundary not in BOUNDARIES:
             raise BeamError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
@@ -46,12 +50,19 @@ def make_beam(section: Section, closure, length: float, boundary: str = "cantile
 
 
 def free_actuation_state(k: SectionConstitutive, voltages) -> GeneralizedState:
-    """Force- and moment-free response: solve Kmm [eps; kappa] = -Kme V."""
-    v = np.atleast_1d(np.asarray(voltages, dtype=float))
+    """Force- and moment-free response: solve Kmm [eps; kappa] = -Kme V.
+
+    voltages holds one finite number per terminal (a lone number serves one
+    terminal); it is checked before the solve.
+    """
+    v = np.atleast_1d(np.asarray(voltages, dtype=object))    # object: no string is parsed
     if v.shape != (k.n_terminals,):
         raise BeamError(f"expected {k.n_terminals} terminal voltages, got shape {v.shape}")
-    x = np.linalg.solve(k.kmm, -k.kme @ v)    # Kmm's symmetric part is positive definite
-    return GeneralizedState(eps=float(x[0]), kappa=float(x[1]), voltages=tuple(v))
+    if not all(map(_is_real, v)):
+        raise BeamError(f"terminal voltages must be finite numbers, got {voltages!r}")
+    # Kmm's symmetric part is positive definite
+    x = np.linalg.solve(k.kmm, -k.kme @ v.astype(float))
+    return GeneralizedState(eps=float(x[0]), kappa=float(x[1]), voltages=v)
 
 
 def cantilever_tip_deflection(beam: Beam, voltages) -> float:
@@ -62,7 +73,12 @@ def cantilever_tip_deflection(beam: Beam, voltages) -> float:
 
 
 def sensor_charge(k: SectionConstitutive, eps: float = 0.0, kappa: float = 0.0) -> np.ndarray:
-    """Short-circuit charge per unit length, q = -Kme^T [eps; kappa] at V = 0."""
+    """Short-circuit charge per unit length, q = -Kme^T [eps; kappa] at V = 0.
+
+    eps and kappa must be finite numbers (see materials._is_real).
+    """
+    if not (_is_real(eps) and _is_real(kappa)):
+        raise BeamError(f"strain and curvature must be finite numbers, got {eps!r}, {kappa!r}")
     return -(k.kme.T @ np.array([eps, kappa]))
 
 
@@ -80,8 +96,11 @@ def _boundary_eigenvalues(boundary: str, n_modes: int) -> np.ndarray:
 
 
 def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
-    """Bending natural frequencies f_n = (lambda_n^2 / 2 pi) sqrt(D_eff / m L^4), Hz."""
-    if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
+    """Bending natural frequencies f_n = (lambda_n^2 / 2 pi) sqrt(D_eff / m L^4), Hz.
+
+    n_modes is a count of at least 1 (see materials._is_count).
+    """
+    if not _is_count(n_modes, 1):
         raise BeamError(f"mode count must be an integer of at least 1, got {n_modes!r}")
     if circuit not in ("short", "open"):
         raise BeamError(f"unknown circuit {circuit!r}, expected 'short' or 'open'")

@@ -35,7 +35,6 @@ import atexit
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 from typing import NamedTuple
@@ -44,7 +43,7 @@ import numpy as np
 
 from .beam import BOUNDARIES, BeamError, coupling_factor, free_actuation_state, make_beam, \
     modal_frequencies
-from .materials import MaterialError, load_material_db
+from .materials import _HUGE, _TINY, MaterialError, _is_real, load_material_db
 from .section import Closure, GeneralizedState, LayupError, capacitance_per_length, \
     compare_closures, load_layup, recover_stress_profile, reduce_section
 
@@ -67,8 +66,8 @@ def _quantity(units: dict, what: str, positive: bool = False):
         try:    # float() ignores the blanks around the number
             value = float(s[:len(s) - len(suffix)]) * units.get(suffix, 1.0)
         except ValueError:
-            value = math.nan    # not a number: rejected below with the same message
-        if not math.isfinite(value) or (positive and value <= 0.0):
+            value = None    # not a number: rejected below with the same message
+        if not _is_real(value, _TINY if positive else -_HUGE):
             raise argparse.ArgumentTypeError(f"bad {what} {text!r}: expected {expected}")
         return value
 
@@ -153,7 +152,7 @@ def _fmt(cell, spec: str = ".6g") -> str:
     """A float cell in the format spec, 6 significant digits by default; no nan or inf."""
     if not isinstance(cell, float):
         return str(cell)
-    if not math.isfinite(cell):
+    if not _is_real(cell):
         raise ArithmeticError(f"non-finite result {cell}")
     return format(cell, spec)
 

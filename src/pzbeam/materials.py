@@ -39,9 +39,35 @@ import numpy as np
 #: Vacuum permittivity, F/m.
 EPS0 = 8.8541878128e-12
 
+# the smallest positive and the largest double: [_TINY, hi] is (0, hi] for ints and floats
+_TINY, _HUGE = math.ulp(0.0), float.fromhex("0x1.fffffffffffffp+1023")
+
 
 class MaterialError(ValueError):
     """Invalid material constants or material database content."""
+
+
+def _is_real(value, lo=-_HUGE, hi=_HUGE) -> bool:
+    """Whether value is a number in [lo, hi]: the package's one rule for a caller's number.
+
+    A number is an int, a float, or a numpy integer or floating scalar. A
+    bool, an np.bool_, a string (never parsed), a complex, an array (even
+    0-d), NaN and a value beyond the double range are not; with the default
+    bounds, neither is an infinity.
+    """
+    if type(value) not in (float, int):    # first: most values are floats, isinstance is slower
+        # a numpy value compares as a Python float, so no bound is cast to float32 and
+        # overflows, and a long double beyond the double range is inf; the rest is NaN
+        value = float(value) if isinstance(value, (np.floating, np.integer)) else math.nan
+    return lo <= value <= hi
+
+
+def _is_count(value, lo, hi=_HUGE) -> bool:
+    """Whether value is a count in [lo, hi]: an int or numpy integer that is not a bool.
+
+    A count is a number too, so by default it lies within the double range.
+    """
+    return (type(value) is int or isinstance(value, np.integer)) and lo <= value <= hi
 
 
 class _Record:
@@ -132,21 +158,22 @@ def _read_columns(entries, fields):
     return columns
 
 
-def _as_matrix(value, shape, what):
+def _as_matrix(value, shape, what, error=MaterialError):
+    """A read-only float copy of value, of the given shape unless that is None, or error."""
     try:
         m = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MaterialError(f"{what} must be a matrix of numbers: {exc}") from exc
-    if m.shape != shape:
-        raise MaterialError(f"{what} must have shape {shape}, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise MaterialError(f"{what} has non-finite entries")
+        raise error(f"{what} must be a matrix of numbers: {exc}") from exc
+    if shape is not None and m.shape != shape:
+        raise error(f"{what} must have shape {shape}, got {m.shape}")
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
+        raise error(f"{what} has non-finite entries")
     m.flags.writeable = False
     return m
 
 
 def _check_density(name, density):
-    if not 0.0 < density < math.inf:
+    if not _is_real(density, _TINY):
         raise MaterialError(f"{name}: density must be positive and finite")
 
 
@@ -237,8 +264,8 @@ class PlaneMaterial(_Record):
     The remaining fields are the axial/transverse normal stresses T11, T22
     and the through-thickness electric pair E3, D3: Q11, Q12, Q22 in Pa,
     e31, e32 in C/m^2, eps33 in F/m, density in kg/m^3. Every constant must
-    be finite, and the in-plane stiffness [[Q11, Q12], [Q12, Q22]] must be
-    positive definite.
+    be a finite number (see _is_real), eps33 and density positive, and the
+    in-plane stiffness [[Q11, Q12], [Q12, Q22]] positive definite.
     """
 
     def __init__(self, name: str, Q11: float, Q12: float, Q22: float, e31: float, e32: float,
@@ -246,7 +273,7 @@ class PlaneMaterial(_Record):
         vars(self).update(name=name, Q11=Q11, Q12=Q12, Q22=Q22, e31=e31, e32=e32,
                           eps33=eps33, density=density)
         for field in ("Q11", "Q12", "Q22", "e31", "e32", "eps33"):
-            if not math.isfinite(getattr(self, field)):
+            if not _is_real(getattr(self, field)):
                 raise MaterialError(f"{name}: {field} must be finite")
         _check_spd(np.array([[Q11, Q12], [Q12, Q22]]), f"{name}: in-plane stiffness")
         if not eps33 > 0.0:
@@ -327,7 +354,14 @@ def as_plane(record) -> PlaneMaterial:
 
 def isotropic_elastic(name: str, youngs: float, poisson: float, density: float,
                       provenance: str = "") -> Material3D:
-    """Build an isotropic elastic e-form record from engineering constants."""
+    """Build an isotropic elastic e-form record from engineering constants.
+
+    youngs is Young's modulus in Pa, positive and finite; poisson lies
+    strictly between -1 and 0.5, where the stiffness is positive definite.
+    """
+    # the bounds of poisson are the doubles next to -1 and 0.5, which are excluded
+    if not (_is_real(youngs, _TINY) and _is_real(poisson, -1 + 2 ** -53, 0.5 - 2 ** -54)):
+        raise MaterialError(f"{name}: youngs {youngs!r} or poisson {poisson!r} out of range")
     lam = youngs * poisson / ((1 + poisson) * (1 - 2 * poisson))
     mu = youngs / (2 * (1 + poisson))
     cE = np.diag([2 * mu, 2 * mu, 2 * mu, mu, mu, mu]).astype(float)

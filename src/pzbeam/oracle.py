@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .section import Closure, Section, SectionConstitutive
+from .section import Closure, LayupError, Section, SectionConstitutive, _is_count
 
 
 def _columns(section: Section, n: int) -> tuple:
     """Material, thickness, center and E3 columns of the stack cut into n sublayers per layer."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"sublayer count must be an integer of at least 1, got {n!r}")
+    if not _is_count(n, 1):
+        raise LayupError(f"sublayer count must be an integer of at least 1, got {n!r}")
     materials, thickness, poling, _ = section._columns
     ev = np.zeros((len(thickness), 2 + section.n_terminals))  # E3 row per unit state, poling frame
     for t, members in enumerate(section.terminals):
@@ -102,7 +102,11 @@ def _assemble(section: Section, closure: Closure, n: int):
 
 
 def discretized_oracle(section: Section, closure, n: int) -> SectionConstitutive:
-    """Constitutive matrix from the discretized stationarity problem."""
+    """Constitutive matrix from the discretized stationarity problem.
+
+    n, the sublayers per layer, is a count of at least 1 (see
+    materials._is_count); any other value raises LayupError.
+    """
     closure = Closure.coerce(closure)
     hessian, _ = _assemble(section, closure, n)
     hessian[2:, 2:] *= -1.0     # capacitance block stored positive, as reduce_section does

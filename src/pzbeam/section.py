@@ -52,7 +52,6 @@ full precision for a thin layer far from the mid-plane.
 from __future__ import annotations
 
 import json
-import math
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, compress, count
@@ -63,8 +62,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, \
-    _is_positive_definite, _read_columns, _read_fields, _Record, as_plane, builtin_materials
+from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, PlaneMaterial, \
+    _as_matrix, _is_count, _is_positive_definite, _is_real, _read_columns, _read_fields, \
+    _Record, as_plane, builtin_materials
 
 
 class LayupError(ValueError):
@@ -91,18 +91,14 @@ class Closure(str, Enum):
 _CLOSURES = {c.value: c for c in Closure}
 
 
-def _check_length(value, what: str, error) -> None:
-    """Raise error unless value is a number between 1e-30 and 1e30 m, other than True.
+def _check_length(h, what: str, error) -> None:
+    """Raise error unless h is a number (materials._is_real) between 1e-30 and 1e30 m.
 
     Beyond these bounds the field 1/h, the moment h^3 or the width-scaled
     matrix entries of a physical material can leave the double range.
     """
-    try:    # a value that is not a number, or an array of several, raises here
-        if 1e-30 <= value <= 1e30 and value is not True:
-            return
-    except (TypeError, ValueError):
-        pass
-    raise error(f"{what} must be positive and finite, between 1e-30 and 1e+30 m, got {value!r}")
+    if not _is_real(h, 1e-30, 1e30):
+        raise error(f"{what} must be positive and finite, between 1e-30 and 1e+30 m, got {h!r}")
 
 
 def _raise_singular(err, flag):
@@ -117,23 +113,27 @@ def _solve(a, b) -> np.ndarray:
         return gufunc(a, b, signature="dd->d")
 
 
-def _check_layer(material, thickness, poling, electroded) -> None:
+def _check_layer(material, thickness, poling, flag) -> None:
     """Raise LayupError, naming the first fault, unless the four fields make a valid layer.
 
-    poling is +1/-1 for the orientation of the poling axis along +z, or 0
-    for a layer with no poling direction. A poling of 0 requires a material
-    with zero piezoelectric coupling; an electroded layer must be poled
-    (any dielectric qualifies, coupled or not).
+    material is a PlaneMaterial and flag, whether the layer is electroded, a
+    bool or np.bool_. poling is the count +1/-1 for the orientation of the
+    poling axis along +z, or 0 for a layer with no poling direction. A
+    poling of 0 requires a material with zero piezoelectric coupling; an
+    electroded layer must be poled (any dielectric qualifies, coupled or not).
     """
+    # a bool flag passes without the lookup of np.bool_
+    if not (isinstance(material, PlaneMaterial) and (type(flag) is bool or type(flag) is np.bool_)):
+        raise LayupError(f"a layer needs a PlaneMaterial and a bool electroded flag, "
+                         f"got {type(material).__name__} and {flag!r}")
     _check_length(thickness, "layer thickness", LayupError)
-    if poling not in (-1, 0, 1):
-        raise LayupError(f"poling must be -1, 0 or +1, got {poling}")
+    if not _is_count(poling, -1, 1):
+        raise LayupError(f"poling must be -1, 0 or +1, got {poling!r}")
     if poling == 0 and material.has_coupling:
         raise LayupError(f"layer of {material.name} has piezoelectric coupling "
                          "and needs a poling direction")
-    if electroded and poling == 0:
-        raise LayupError("electroded layer needs a poling direction "
-                         "(electroded elastic layer)")
+    if flag and poling == 0:
+        raise LayupError("electroded layer needs a poling direction (electroded elastic layer)")
 
 
 class Section(_Record):
@@ -194,16 +194,18 @@ class Section(_Record):
 
 
 class GeneralizedState(_Record):
-    """Kinematic state of the 1D model: S11(z) = eps + z*kappa plus voltages."""
+    """Kinematic state of the 1D model: S11(z) = eps + z*kappa plus voltages.
+
+    eps, kappa and each item of the iterable voltages must be a finite number
+    (materials._is_real); the voltages are stored as a tuple of floats.
+    """
 
     def __init__(self, eps: float = 0.0, kappa: float = 0.0, voltages=()):
+        voltages = tuple(voltages) if np.iterable(voltages) else voltages
         vars(self).update(eps=eps, kappa=kappa, voltages=voltages)
-        try:    # float and math.isfinite raise on a value that is not a number
-            vars(self).update(voltages=tuple(map(float, voltages)))
-            if not all(map(math.isfinite, (eps, kappa) + self.voltages)):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise LayupError(f"generalized state must be finite numbers, got {self!r}") from None
+        if type(voltages) is not tuple or not all(map(_is_real, (eps, kappa, *voltages))):
+            raise LayupError(f"generalized state must be finite numbers, got {self!r}")
+        vars(self).update(voltages=tuple(map(float, voltages)))
 
 
 class SectionConstitutive(_Record):
@@ -218,19 +220,18 @@ class SectionConstitutive(_Record):
     and it is stored exactly as assembled, without symmetrization. It must
     be finite, and Kmm and Cq positive definite: each block's symmetric part
     must have a Cholesky factor, which an exactly diagonal block (Cq under ND
-    and NS) has when its diagonal is positive. Finiteness is checked first,
-    because a NaN or infinite block factors without an error.
+    and NS) has when its diagonal is positive. The entries are converted to
+    floats and checked finite first (materials._as_matrix), because a NaN or
+    infinite block factors without an error, and then the shape. Every fault
+    raises LayupError.
     """
 
     def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
+        m = _as_matrix(matrix, None, "constitutive matrix", LayupError)
         if m.ndim != 2 or not 2 <= m.shape[0] == m.shape[1]:
             raise LayupError(f"constitutive matrix has shape {m.shape}, "
                              "expected a square matrix of order at least 2")
-        m.flags.writeable = False
         vars(self).update(matrix=m)
-        if not np.logical_and.reduce(np.isfinite(m), axis=None):
-            raise LayupError("constitutive matrix has non-finite entries")
         if not _is_positive_definite(self.kmm):
             raise LayupError("mechanical stiffness block is not positive definite")
         if not _is_positive_definite(self.cq):    # an empty Cq passes
@@ -433,14 +434,14 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
 
 def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
                            terminal: int = 0) -> float:
-    """Terminal capacitance per unit beam length, F/m.
+    """Terminal capacitance per unit beam length, F/m, of terminal (a count from 0 to T-1).
 
     'blocked' is the constitutive coefficient Cq[t, t] (frozen generalized
     strains); 'free' releases the section at N = M = 0 and adds the
     mechanical-compliance contribution g^T Kmm^-1 g >= 0.
     """
-    if not 0 <= terminal < constitutive.n_terminals:
-        raise LayupError(f"terminal {terminal} out of range "
+    if not _is_count(terminal, 0, constitutive.n_terminals - 1):
+        raise LayupError(f"terminal {terminal!r} out of range "
                          f"(section has {constitutive.n_terminals})")
     blocked = constitutive.cq[terminal, terminal]
     if condition == "blocked":
@@ -467,7 +468,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     points from its bottom face to its top face, both included.
     """
     closure = Closure.coerce(closure)
-    if not isinstance(samples_per_layer, (int, np.integer)) or samples_per_layer < 2:
+    if not _is_count(samples_per_layer, 2):
         raise LayupError(f"samples per layer must be an integer of at least 2, "
                          f"got {samples_per_layer!r}")
     if len(state.voltages) != section.n_terminals:

@@ -1,0 +1,233 @@
+"""One rule for numbers at the library boundary (materials._is_real, materials._is_count).
+
+Every public entry point that takes a number, or a count, accepts only an
+int, a float or a numpy integer or floating scalar (a count: an int or numpy
+integer), never a bool, a string, a complex or an array, and raises its own
+typed error naming the value otherwise. The suite turns warnings into
+errors, so every case here also shows that no warning is printed.
+"""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pzbeam import (
+    Beam,
+    BeamError,
+    GeneralizedState,
+    LayupError,
+    MaterialDForm,
+    MaterialError,
+    PlaneMaterial,
+    Section,
+    SectionConstitutive,
+    as_plane,
+    builtin_materials,
+    cantilever_tip_deflection,
+    capacitance_per_length,
+    discretized_oracle,
+    free_actuation_state,
+    isotropic_elastic,
+    load_layup,
+    make_beam,
+    modal_frequencies,
+    oracle_transverse_multipliers,
+    recover_stress_profile,
+    reduce_section,
+    sensor_charge,
+)
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+PZT, AL = (builtin_materials()[name] for name in ("PZT-5H", "Al-6061"))
+PZT_PLANE, AL_PLANE = as_plane(PZT), as_plane(AL)
+SANDWICH = load_layup(DOCS / "sandwich.json")          # one terminal
+K = reduce_section(SANDWICH, "nsr")
+BEAM = make_beam(SANDWICH, "nsr", 0.1)
+TWO_TERMINALS = reduce_section(Section((PZT_PLANE,) * 2, (1e-3,) * 2, (1, -1), (True, True),
+                                       0.01, "independent"), "nd")
+ZERO = GeneralizedState(voltages=(0.0,))
+PLANE_FIELDS = {**{f: getattr(AL_PLANE, f) for f in AL_PLANE._fields}, "name": "x"}
+
+NOT_NUMBERS = ["1", None, True, np.True_, 1j, np.complex128(1.0), math.nan, np.float64(math.nan),
+               math.inf, -math.inf, 10 ** 400, np.array([1.0, 2.0]), np.array(1.0)]
+NOT_COUNTS = NOT_NUMBERS + [1.0, 2.5, np.float64(3.0)]
+
+
+def _plane(field):
+    return lambda v: PlaneMaterial(**{**PLANE_FIELDS, field: v})
+
+
+def _shape_or_repr(v):
+    # a voltage that is an array of several makes the voltages a table: its shape is named
+    return f"got shape (1, {v.size})" if isinstance(v, np.ndarray) and v.ndim else repr(v)
+
+
+# (entry point and parameter, call with the value, error, expected fragment of the message);
+# the fragment is the value's repr, except where a message reachable from a file is kept as
+# it is: material constants name their field
+REALS = [
+    ("Section thickness", lambda v: Section((AL_PLANE,), (v,), (0,), (False,), 0.01),
+     LayupError, repr),
+    ("Section width", lambda v: Section((AL_PLANE,), (1e-3,), (0,), (False,), v),
+     LayupError, repr),
+    ("GeneralizedState eps", lambda v: GeneralizedState(eps=v), LayupError, repr),
+    ("GeneralizedState kappa", lambda v: GeneralizedState(kappa=v), LayupError, repr),
+    ("GeneralizedState voltage", lambda v: GeneralizedState(voltages=[0.0, v]), LayupError, repr),
+    *((f"PlaneMaterial {f}", _plane(f), MaterialError, lambda v, f=f: f"x: {f} must be")
+      for f in ("Q11", "Q12", "Q22", "e31", "e32", "eps33", "density")),
+    ("isotropic_elastic youngs", lambda v: isotropic_elastic("x", v, 0.3, 1.0), MaterialError,
+     repr),
+    ("isotropic_elastic poisson", lambda v: isotropic_elastic("x", 69e9, v, 1.0), MaterialError,
+     repr),
+    ("isotropic_elastic density", lambda v: isotropic_elastic("x", 69e9, 0.3, v), MaterialError,
+     lambda v: "x: density must be positive and finite"),
+    ("MaterialDForm density", lambda v: MaterialDForm("x", PZT.sE, PZT.d, PZT.epsT, v),
+     MaterialError, lambda v: "x: density must be positive and finite"),
+    ("Beam mass_per_length", lambda v: Beam(K, v, 0.1), BeamError, repr),
+    ("Beam length", lambda v: Beam(K, 1.0, v), BeamError, repr),
+    ("make_beam length", lambda v: make_beam(SANDWICH, "nd", v), BeamError, repr),
+    ("free_actuation_state voltage", lambda v: free_actuation_state(K, [v]), BeamError,
+     _shape_or_repr),
+    ("cantilever_tip_deflection voltage", lambda v: cantilever_tip_deflection(BEAM, [v]),
+     BeamError, _shape_or_repr),
+    ("sensor_charge eps", lambda v: sensor_charge(K, eps=v), BeamError, repr),
+    ("sensor_charge kappa", lambda v: sensor_charge(K, kappa=v), BeamError, repr),
+]
+COUNTS = [
+    ("Section poling", lambda v: Section((AL_PLANE,), (1e-3,), (v,), (False,), 0.01),
+     LayupError, repr),
+    ("capacitance_per_length terminal",
+     lambda v: capacitance_per_length(TWO_TERMINALS, "blocked", v), LayupError, repr),
+    ("recover_stress_profile samples_per_layer",
+     lambda v: recover_stress_profile(SANDWICH, "nsr", ZERO, v), LayupError, repr),
+    ("modal_frequencies n_modes", lambda v: modal_frequencies(BEAM, "short", v), BeamError, repr),
+    ("discretized_oracle n", lambda v: discretized_oracle(SANDWICH, "nd", v), LayupError, repr),
+    ("oracle_transverse_multipliers n", lambda v: oracle_transverse_multipliers(SANDWICH, v),
+     LayupError, repr),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.sampled_from(REALS), st.sampled_from(NOT_NUMBERS)),
+                 st.tuples(st.sampled_from(COUNTS), st.sampled_from(NOT_COUNTS))))
+def test_every_numeric_parameter_rejects_junk_with_its_typed_error(case):
+    # never a large valid count: every value drawn for a count is invalid
+    (_, call, error, named), value = case
+    with pytest.raises(error) as raised:
+        call(value)
+    assert type(raised.value) is error
+    assert named(value) in str(raised.value)
+
+
+def test_valid_values_of_every_kind_are_accepted():
+    # an int, a float, a numpy integer and a numpy floating value are numbers alike
+    for h in (1e-3, np.float64(1e-3), np.float32(1e-3)):
+        Section((AL_PLANE,), (h,), (0,), (False,), 1)
+    for n in (3, np.int64(3), np.uint8(3)):
+        assert len(modal_frequencies(BEAM, "short", n)) == 3
+    state = GeneralizedState(np.float32(1e-4), 1, iter([np.int16(5)]))
+    assert state.voltages == (5.0,) and type(state.voltages[0]) is float
+    assert free_actuation_state(K, np.array([100.0])) == free_actuation_state(K, 100)
+    assert Section((PZT_PLANE,), (1e-3,), (np.int8(-1),), (np.True_,), 0.01).n_terminals == 1
+
+
+# one case per probe: each raised no typed error, or none at all, before the rule
+PROBES = [
+    ("np.True_ thickness builds no 1 m layer",
+     lambda: Section((AL_PLANE,), (np.True_,), (0,), (False,), 0.01), LayupError,
+     "layer thickness must be positive and finite, between 1e-30 and 1e+30 m, got np.True_"),
+    ("np.True_ width", lambda: Section((AL_PLANE,), (1e-3,), (0,), (False,), np.True_),
+     LayupError, "width must be positive and finite, between 1e-30 and 1e+30 m, got np.True_"),
+    ("a string of voltages is not parsed", lambda: GeneralizedState(voltages="12"), LayupError,
+     "generalized state must be finite numbers, got "
+     "GeneralizedState(eps=0.0, kappa=0.0, voltages=('1', '2'))"),
+    ("a bool strain", lambda: GeneralizedState(eps=True), LayupError,
+     "generalized state must be finite numbers, got GeneralizedState(eps=True"),
+    ("an infinite mass gives no 0 Hz modes", lambda: Beam(K, math.inf, 0.1), BeamError,
+     "mass per length must be positive and finite, got inf"),
+    ("np.True_ mass", lambda: Beam(K, np.True_, 0.1), BeamError, "got np.True_"),
+    ("np.True_ beam length", lambda: Beam(K, 1.0, np.True_), BeamError, "got np.True_"),
+    ("a bool terminal is no mask", lambda: capacitance_per_length(TWO_TERMINALS, "blocked", True),
+     LayupError, "terminal True out of range (section has 2)"),
+    ("a string terminal", lambda: capacitance_per_length(K, "blocked", "0"), LayupError,
+     "terminal '0' out of range (section has 1)"),
+    ("a float terminal", lambda: capacitance_per_length(K, "blocked", 0.0), LayupError,
+     "terminal 0.0 out of range (section has 1)"),
+    ("np.True_ poling", lambda: Section((AL_PLANE,), (1e-3,), (np.True_,), (False,), 0.01),
+     LayupError, "poling must be -1, 0 or +1, got np.True_"),
+    ("a float poling", lambda: Section((AL_PLANE,), (1e-3,), (1.0,), (False,), 0.01), LayupError,
+     "poling must be -1, 0 or +1, got 1.0"),
+    ("an array poling", lambda: Section((AL_PLANE,), (1e-3,), (np.array([1, 1]),), (False,), 0.01),
+     LayupError, "poling must be -1, 0 or +1, got array([1, 1])"),
+    ("np.True_ density", lambda: isotropic_elastic("x", 69e9, 0.3, np.True_), MaterialError,
+     "x: density must be positive and finite"),
+    ("a string stiffness", lambda: _plane("Q11")("1"), MaterialError, "x: Q11 must be finite"),
+    ("np.True_ coupling", lambda: _plane("e31")(np.True_), MaterialError,
+     "x: e31 must be finite"),
+    ("a string modulus", lambda: isotropic_elastic("x", "69e9", 0.3, 1.0), MaterialError,
+     "x: youngs '69e9' or poisson 0.3 out of range"),
+    ("poisson 0.5", lambda: isotropic_elastic("x", 69e9, 0.5, 1.0), MaterialError,
+     "x: youngs 69000000000.0 or poisson 0.5 out of range"),
+    ("poisson -1", lambda: isotropic_elastic("x", 69e9, -1, 1.0), MaterialError,
+     "x: youngs 69000000000.0 or poisson -1 out of range"),
+    ("a string strain", lambda: sensor_charge(K, eps="1"), BeamError,
+     "strain and curvature must be finite numbers, got '1', 0.0"),
+    ("a bool curvature", lambda: sensor_charge(K, kappa=True), BeamError,
+     "strain and curvature must be finite numbers, got 0.0, True"),
+    ("a string voltage", lambda: free_actuation_state(K, ["x"]), BeamError,
+     "terminal voltages must be finite numbers, got ['x']"),
+    ("a NaN voltage, before the solve", lambda: free_actuation_state(K, [math.nan]), BeamError,
+     "terminal voltages must be finite numbers, got [nan]"),
+    ("an infinite voltage, before the solve", lambda: free_actuation_state(K, [math.inf]),
+     BeamError, "terminal voltages must be finite numbers, got [inf]"),
+    ("a string tip voltage is not parsed", lambda: cantilever_tip_deflection(BEAM, ["1"]),
+     BeamError, "terminal voltages must be finite numbers, got ['1']"),
+    ("a sample count beyond the double range",
+     lambda: recover_stress_profile(SANDWICH, "nsr", ZERO, 10 ** 400), LayupError,
+     "samples per layer must be an integer of at least 2, got 1000"),
+    ("a bool mode count", lambda: modal_frequencies(BEAM, "short", True), BeamError,
+     "mode count must be an integer of at least 1, got True"),
+    ("a mode count beyond the double range", lambda: modal_frequencies(BEAM, "short", 10 ** 400),
+     BeamError, "mode count must be an integer of at least 1, got 1000"),
+    ("a bool sublayer count", lambda: discretized_oracle(SANDWICH, "nd", True), LayupError,
+     "sublayer count must be an integer of at least 1, got True"),
+    ("no sublayers", lambda: discretized_oracle(SANDWICH, "nd", 0), LayupError,
+     "sublayer count must be an integer of at least 1, got 0"),
+    ("a matrix of strings", lambda: SectionConstitutive([["a", "b"], ["c", "d"]]), LayupError,
+     "constitutive matrix must be a matrix of numbers: could not convert string to float: 'a'"),
+    ("a ragged matrix", lambda: SectionConstitutive([[1.0, 2.0], [3.0]]), LayupError,
+     "constitutive matrix must be a matrix of numbers: "),
+    ("a 3D material", lambda: Section((AL,), (1e-3,), (0,), (False,), 0.01), LayupError,
+     "a layer needs a PlaneMaterial and a bool electroded flag, got Material3D and False"),
+    ("a d-form material", lambda: Section((PZT,), (1e-3,), (1,), (False,), 0.01), LayupError,
+     "a layer needs a PlaneMaterial and a bool electroded flag, got MaterialDForm and False"),
+    ("a material name", lambda: Section(("Al-6061",), (1e-3,), (0,), (False,), 0.01),
+     LayupError, "a layer needs a PlaneMaterial and a bool electroded flag, got str and False"),
+    ("a string electroded flag", lambda: Section((PZT_PLANE,), (1e-3,), (1,), ("no",), 0.01),
+     LayupError, "a layer needs a PlaneMaterial and a bool electroded flag, "
+                 "got PlaneMaterial and 'no'"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [p[1:] for p in PROBES],
+                         ids=[p[0] for p in PROBES])
+def test_probe(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as raised:
+        call()
+    assert type(raised.value) is error
+
+
+def test_the_first_faulty_layer_is_named_for_every_column():
+    # the material and flag columns are checked in the same pass as the others
+    rows = [(PZT_PLANE, 1e-3, 1, True)] * 3
+    for column, bad in ((0, AL), (1, np.True_), (2, 1.0), (3, "yes")):
+        faulty = [list(r) for r in rows]
+        faulty[1][column] = bad
+        faulty[2][1] = -1.0
+        with pytest.raises(LayupError) as raised:
+            Section(*zip(*faulty), 0.01)
+        assert "-1.0" not in str(raised.value)

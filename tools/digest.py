@@ -18,23 +18,35 @@ Categories:
 * faults: seeded layups over the built-in names with one planted read, name,
   poling, rule or width fault. The exception's type and message, or the ND
   matrix when the planted value happens to be valid.
+* boundary: each numeric parameter of the public entry points called with a
+  fixed list of values that are not numbers (or not counts), and with one
+  valid value. The exception's type and message, whatever its type, or the
+  result, plus every warning the call gave.
 """
 
 import contextlib
 import hashlib
 import io
+import math
 import os
 import random
 import struct
 import sys
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pzbeam import (GeneralizedState, LayupError, MaterialError, build_section,  # noqa: E402
-                    builtin_materials, load_material_db, recover_stress_profile,
-                    reduce_section)
+from pzbeam import (Beam, GeneralizedState, LayupError, MaterialDForm,  # noqa: E402
+                    MaterialError, PlaneMaterial, Section, SectionConstitutive, as_plane,
+                    build_section, builtin_materials, cantilever_tip_deflection,
+                    capacitance_per_length, discretized_oracle, free_actuation_state,
+                    isotropic_elastic, load_layup, load_material_db, make_beam,
+                    modal_frequencies, oracle_transverse_multipliers, recover_stress_profile,
+                    reduce_section, sensor_charge)
 from pzbeam.cli import main  # noqa: E402
 
 SEED = 25
@@ -125,15 +137,91 @@ def faults(sha):
             sha.update(outcome + b"\0")
 
 
+# every numeric parameter below is called with its valid value, with these values that
+# are not numbers and with its own extra values; a count's include FLOATS
+NOT_NUMBERS = ("1", None, True, np.True_, 1j, math.nan, math.inf, -math.inf, 10 ** 400,
+               np.array([1.0, 2.0]), np.array(1.0), np.float32(math.nan), np.longdouble("1e400"))
+FLOATS = (1.0, np.float64(2.0))
+
+
+def _parameters():
+    """(name, function, valid arguments, index of the parameter, extra values) per parameter."""
+    pzt, al = (builtin_materials()[name] for name in ("PZT-5H", "Al-6061"))
+    plane = as_plane(al)
+    sandwich = load_layup("docs/sandwich.json")
+    k = reduce_section(sandwich, "nsr")
+    k2 = reduce_section(Section((as_plane(pzt),) * 2, (1e-3,) * 2, (1, -1), (True, True), 0.01,
+                                "independent"), "nd")
+    beam = make_beam(sandwich, "nsr", 0.1)
+
+    def layer(*columns):
+        return Section(*zip(columns), 0.01)
+
+    for i, (name, extra) in enumerate((("material", (al, pzt, "Al-6061")), ("thickness", ()),
+                                       ("poling", FLOATS + (0, -1, 2)),
+                                       ("electroded", ("no", 1, [])))):
+        yield f"Section.{name}", layer, (plane, 1e-3, 1, True), i, extra
+    yield "Section.width", Section, ((plane,), (1e-3,), (0,), (False,), 0.01), 4, ()
+    yield ("SectionConstitutive.matrix", SectionConstitutive, (k.matrix,), 0,
+           ([["a", "b"], ["c", "d"]], [[1.0, 2.0], [3.0]], [[1.0, 0.0], [0.0, 1j]]))
+    for i, name in enumerate(("eps", "kappa", "voltages")):
+        yield (f"GeneralizedState.{name}", GeneralizedState, (0.0, 0.0, [1.0]), i,
+               ("12", [None], [1.0, "2"]) if i == 2 else ())
+    for i, name in enumerate(plane._fields[1:], 1):
+        yield f"PlaneMaterial.{name}", PlaneMaterial, ("x", *plane._astuple(plane)[1:]), i, ()
+    for i, name in enumerate(("youngs", "poisson", "density"), 1):
+        yield (f"isotropic_elastic.{name}", isotropic_elastic, ("x", 69e9, 0.3, 2700.0), i,
+               (0.0, 0.5, -1))
+    yield ("MaterialDForm.density", MaterialDForm, ("x", pzt.sE, pzt.d, pzt.epsT, 7800.0), 4,
+           (0.0,))
+    for i, name in enumerate(("mass_per_length", "length"), 1):
+        yield f"Beam.{name}", Beam, (k, 1.0, 0.1), i, (0.0,)
+    yield "make_beam.length", make_beam, (sandwich, "nd", 0.1), 2, ()
+    for function, subject in ((free_actuation_state, k), (cantilever_tip_deflection, beam)):
+        yield (f"{function.__name__}.voltages", function, (subject, [100.0]), 1,
+               ("1", ["x"], [math.nan], [math.inf], [[1.0]], [1.0, 2.0]))
+    for i, name in enumerate(("eps", "kappa"), 1):
+        yield f"sensor_charge.{name}", sensor_charge, (k, 0.0, 0.0), i, ()
+    yield ("capacitance_per_length.terminal", capacitance_per_length, (k2, "blocked", 1), 2,
+           FLOATS + (2, -1))
+    yield ("recover_stress_profile.samples_per_layer", recover_stress_profile,
+           (sandwich, "nsr", GeneralizedState(voltages=(0.0,)), 3), 3, FLOATS + (1,))
+    yield "modal_frequencies.n_modes", modal_frequencies, (beam, "short", 3), 2, FLOATS
+    yield "discretized_oracle.n", discretized_oracle, (sandwich, "nd", 2), 2, FLOATS
+    yield ("oracle_transverse_multipliers.n", oracle_transverse_multipliers, (sandwich, 2), 1,
+           FLOATS)
+
+
+def _outcome(function, args) -> bytes:
+    """The exception's type and message, whatever its type, or the result; then each warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = function(*args)
+            result = getattr(result, "matrix", result)
+            outcome = (result.tobytes() if isinstance(result, np.ndarray)
+                       else repr(result).encode())
+        except Exception as fault:     # an untyped error is an outcome too
+            outcome = f"{type(fault).__name__}: {fault}".encode()
+    return outcome + b"".join(f"\0{w.category.__name__}: {w.message}".encode() for w in caught)
+
+
+def boundary(sha):
+    for name, function, args, i, extra in _parameters():
+        for value in (args[i], *NOT_NUMBERS, *extra):
+            outcome = _outcome(function, (*args[:i], value, *args[i + 1:]))
+            sha.update(f"{name}\0{value!r}\0".encode() + outcome + b"\0")
+
+
 def run() -> None:
     os.chdir(ROOT)      # the CLI arguments and their messages name paths relative to it
     total = hashlib.sha256()
-    for category in (stacks, cli, faults):
+    for category in (stacks, cli, faults, boundary):
         sha = hashlib.sha256()
         category(sha)
         total.update(sha.digest())
-        print(f"{category.__name__:<8}{sha.hexdigest()}")
-    print(f"{'total':<8}{total.hexdigest()}")
+        print(f"{category.__name__:<9}{sha.hexdigest()}")
+    print(f"{'total':<9}{total.hexdigest()}")
 
 
 if __name__ == "__main__":
