@@ -31,7 +31,6 @@ import json
 import math
 from functools import cache, cached_property
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -82,9 +81,11 @@ class _Record:
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
-        get = attrgetter(*cls._fields)
-        # called as self._astuple(self); a one-field attrgetter returns the bare value
-        cls._astuple = get if len(cls._fields) > 1 else staticmethod(lambda self: (get(self),))
+
+    @staticmethod
+    def _astuple(record) -> tuple:
+        """The tuple of record's fields, one field too; called as self._astuple(self)."""
+        return tuple(getattr(record, f) for f in record._fields)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
@@ -159,9 +160,19 @@ def _read_columns(entries, fields):
 
 
 def _as_matrix(value, shape, what, error=MaterialError):
-    """A read-only float copy of value, of the given shape unless that is None, or error."""
+    """A read-only float copy of value, of the given shape unless that is None, or error.
+
+    An entry beyond the double range, a long double say, casts to inf without
+    a warning and fails the finiteness test. A float64 array, as the
+    reduction passes, cannot overflow, so it skips np.errstate, which costs
+    more than its copy.
+    """
     try:
-        m = np.array(value, dtype=float)
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            m = np.array(value)
+        else:
+            with np.errstate(over="ignore"):
+                m = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{what} must be a matrix of numbers: {exc}") from exc
     if shape is not None and m.shape != shape:

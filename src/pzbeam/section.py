@@ -60,7 +60,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, PlaneMaterial, \
     _as_matrix, _is_count, _is_positive_definite, _is_real, _read_columns, _read_fields, \
@@ -99,18 +98,6 @@ def _check_length(h, what: str, error) -> None:
     """
     if not _is_real(h, 1e-30, 1e30):
         raise error(f"{what} must be positive and finite, between 1e-30 and 1e+30 m, got {h!r}")
-
-
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-def _solve(a, b) -> np.ndarray:
-    """numpy.linalg.solve(a, b) of float64 arrays, without its dtype and shape dispatch:
-    the same LAPACK gufunc under the same error state, so the same bits and errors."""
-    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
-    with np.errstate(all="ignore", invalid="call", call=_raise_singular):
-        return gufunc(a, b, signature="dd->d")
 
 
 def _check_layer(material, thickness, poling, flag) -> None:
@@ -374,7 +361,7 @@ def _nsr_field(t: _LayerTable, n_terminals: int) -> tuple:
     v = _scatter(t, t.e32, n_terminals)
     rhs = np.empty((2, 2 + n_terminals))
     rhs[0, :2], rhs[1, :2], rhs[:, 2:] = s12[:2], s12[1:], v[:2]
-    a, b = _solve(t.k, -rhs)
+    a, b = np.linalg.solve(t.k, -rhs)
     return a, b, s12, v
 
 
@@ -448,7 +435,7 @@ def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
         return float(blocked)
     if condition == "free":
         g = constitutive.kme[:, terminal]
-        return float(blocked + g @ _solve(constitutive.kmm, g))
+        return float(blocked + g @ np.linalg.solve(constitutive.kmm, g))
     raise LayupError(f"unknown capacitance condition {condition!r}")
 
 
@@ -456,7 +443,7 @@ def _bending_stiffness(k: SectionConstitutive, circuit: str) -> float:
     """D - B^2/A condensed at N = 0: of Kmm, or of Kmm + Kme Cq^-1 Kme^T for 'open'."""
     kmm = k.kmm
     if circuit == "open" and k.n_terminals:
-        kmm = kmm + k.kme @ _solve(k.cq, k.kme.T)
+        kmm = kmm + k.kme @ np.linalg.solve(k.cq, k.kme.T)
     return float(kmm[1, 1] - kmm[0, 1] * kmm[1, 0] / kmm[0, 0])
 
 
@@ -484,7 +471,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     if closure is Closure.NSR:
         # a + b*z cancels both resultants of the T22 that S22 = 0 leaves
         n2, m2 = _integrals(t, t.q12 * eps - t.e32 * e3, t.q12 * kappa)
-        s0, s1 = _solve(t.k, -np.array((n2, m2)))
+        s0, s1 = np.linalg.solve(t.k, -np.array((n2, m2)))
     t11 = np.empty((len(e3), 2))
     t11[:, 0], t11[:, 1] = q11 * eps + t.q12 * s0 - e31 * e3, q11 * kappa + t.q12 * s1
     # under NS, T22 = 0 is the definition of the closure, not a computed value

@@ -20,6 +20,7 @@ from pzbeam import (
     BeamError,
     GeneralizedState,
     LayupError,
+    Material3D,
     MaterialDForm,
     MaterialError,
     PlaneMaterial,
@@ -231,3 +232,22 @@ def test_the_first_faulty_layer_is_named_for_every_column():
         with pytest.raises(LayupError) as raised:
             Section(*zip(*faulty), 0.01)
         assert "-1.0" not in str(raised.value)
+
+
+def _long_double_matrix(matrix):
+    m = np.array(matrix, dtype=np.longdouble)
+    m[0, 0] = np.longdouble("1e400")
+    return m
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max == np.finfo(np.double).max,
+                    reason="np.longdouble is the double on this platform")
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SectionConstitutive(_long_double_matrix([[1.0, 0.0], [0.0, 1.0]])), LayupError,
+     "constitutive matrix has non-finite entries"),
+    (lambda: Material3D("x", _long_double_matrix(AL.cE), AL.e, AL.epsS, AL.density),
+     MaterialError, "x: cE has non-finite entries"),
+], ids=["SectionConstitutive", "Material3D"])
+def test_a_long_double_beyond_the_double_range_is_rejected_without_a_warning(call, error,
+                                                                             message):
+    test_probe(call, error, message)    # the cast overflows to inf, and no warning is printed
