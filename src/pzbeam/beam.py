@@ -27,12 +27,15 @@ class BeamError(ValueError):
 class Beam(_Record):
     """Uniform beam: reduced section, mass per length (kg/m), length (m) and boundary.
 
-    The mass per length is a positive finite number and the length a number
-    from 1e-30 to 1e30 m (see materials._is_real).
+    constitutive is a SectionConstitutive, the mass per length a positive
+    finite number and the length from 1e-30 to 1e30 m (see materials._is_real).
     """
 
     def __init__(self, constitutive: SectionConstitutive, mass_per_length: float, length: float,
                  boundary: str = "cantilever"):
+        if not isinstance(constitutive, SectionConstitutive):
+            raise BeamError(f"constitutive must be a SectionConstitutive, "
+                            f"got {type(constitutive).__name__}")
         if not _is_real(mass_per_length, _TINY):
             raise BeamError(f"mass per length must be positive and finite, got {mass_per_length!r}")
         _check_length(length, "length", BeamError)

@@ -106,11 +106,11 @@ class _Record:
 
 
 # JSON objects: _read_fields checks one against a table that maps each allowed
-# key to (kind, default), a kind being the types its value may have; a key
-# whose default is _REQUIRED must be present (the sentinel's type is in no kind)
+# key to (kind, default), a kind being the types its value may have, or _is_real
+# for _NUMBER; a key whose default is _REQUIRED must be present (no kind takes it)
 
 _REQUIRED = object()
-_STR, _NUMBER, _BOOL = frozenset((str,)), frozenset((int, float)), frozenset((bool,))
+_STR, _NUMBER, _BOOL = frozenset((str,)), _is_real, frozenset((bool, np.bool_))
 _LIST = frozenset((list, tuple))
 _ANY = frozenset((dict, list, str, int, float, bool, type(None)))
 _KIND_NAMES = {_STR: "a string", _NUMBER: "a finite number", _BOOL: "true or false",
@@ -120,8 +120,8 @@ _KIND_NAMES = {_STR: "a string", _NUMBER: "a finite number", _BOOL: "true or fal
 def _read_fields(entry, fields, what, error, prefix=""):
     """The values of a JSON object's fields, in table order, or error naming the first fault.
 
-    A number must be finite: an int or a float, not a bool (an int beyond
-    float range fails). An unknown key is named with the nearest known key.
+    A number is what _is_real takes, and a bool a bool or np.bool_. An
+    unknown key is named with the nearest known key.
     """
     if not isinstance(entry, dict):
         raise error(f"{prefix}{what} must be a JSON object, got {entry!r}")
@@ -136,7 +136,7 @@ def _read_fields(entry, fields, what, error, prefix=""):
     values = []
     for key, (kind, default) in fields.items():
         value = entry.get(key, default)
-        if type(value) not in kind or kind is _NUMBER and not abs(value) < 1e308:
+        if not (_is_real(value) if kind is _NUMBER else type(value) in kind):
             if value is _REQUIRED:
                 raise error(f"{prefix}{what} is missing key {key!r}")
             raise error(f"{prefix}field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
@@ -152,8 +152,7 @@ def _read_columns(entries, fields):
     columns = []
     for key, (kind, default) in fields.items():
         column = tuple(map(dict.get, entries, repeat(key), repeat(default)))
-        if not set(map(type, column)) <= kind or (
-                kind is _NUMBER and not all(map((1e308).__gt__, map(abs, column)))):
+        if not (all(map(_is_real, column)) if kind is _NUMBER else set(map(type, column)) <= kind):
             return None
         columns.append(column)
     return columns
@@ -162,19 +161,22 @@ def _read_columns(entries, fields):
 def _as_matrix(value, shape, what, error=MaterialError):
     """A read-only float copy of value, of the given shape unless that is None, or error.
 
-    An entry beyond the double range, a long double say, casts to inf without
-    a warning and fails the finiteness test. A float64 array, as the
-    reduction passes, cannot overflow, so it skips np.errstate, which costs
-    more than its copy.
+    Unless value is a float64 array, as the reduction passes, each entry must
+    be a number (see _is_real), tested in row-major order before the cast, and
+    the first that is not is named: a string, a bool, a ragged matrix's row. A
+    float64 array is only tested finite.
     """
-    try:
-        if isinstance(value, np.ndarray) and value.dtype == np.float64:
-            m = np.array(value)
-        else:
-            with np.errstate(over="ignore"):
-                m = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{what} must be a matrix of numbers: {exc}") from exc
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        m = np.array(value)
+    else:
+        try:
+            m = np.array(value, dtype=object)
+        except ValueError as exc:    # numpy cannot nest arrays of unequal shapes
+            raise error(f"{what} must be a matrix of numbers: {exc}") from exc
+        for entry in m.flat:
+            if not _is_real(entry):
+                raise error(f"{what} must be a matrix of numbers, got {entry!r}")
+        m = m.astype(float)
     if shape is not None and m.shape != shape:
         raise error(f"{what} must have shape {shape}, got {m.shape}")
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
@@ -448,13 +450,8 @@ def _record_from_json(entry, prefix):
     invalid = f"invalid material {name}: "
     _, _, *matrices, density, provenance = _read_fields(
         entry, fields, f"{form}-form record", MaterialError, invalid)
-    for key, matrix in zip(list(fields)[2:5], matrices):
-        # an entry must be a JSON number, as a thickness must: not a string, bool or null
-        for row in matrix if type(matrix) is list else ():
-            for value in row if type(row) is list else (row,):
-                if type(value) not in _NUMBER:
-                    raise MaterialError(f"{invalid}field {key!r} must be a matrix of numbers, "
-                                        f"got {value!r}")
+    matrices = [_as_matrix(matrix, None, f"{invalid}field {key!r}")
+                for key, matrix in zip(list(fields)[2:5], matrices)]
     return record_type(name, *matrices, density=float(density), provenance=provenance)
 
 

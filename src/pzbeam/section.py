@@ -54,8 +54,8 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain, compress, count
-from operator import attrgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import attrgetter, mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -109,8 +109,7 @@ def _check_layer(material, thickness, poling, flag) -> None:
     poling of 0 requires a material with zero piezoelectric coupling; an
     electroded layer must be poled (any dielectric qualifies, coupled or not).
     """
-    # a bool flag passes without the lookup of np.bool_
-    if not (isinstance(material, PlaneMaterial) and (type(flag) is bool or type(flag) is np.bool_)):
+    if not (isinstance(material, PlaneMaterial) and type(flag) in _BOOL):
         raise LayupError(f"a layer needs a PlaneMaterial and a bool electroded flag, "
                          f"got {type(material).__name__} and {flag!r}")
     _check_length(thickness, "layer thickness", LayupError)
@@ -161,11 +160,9 @@ class Section(_Record):
     def terminals(self) -> tuple:
         """The layer indices of each terminal."""
         electroded = tuple(compress(count(), self.electroded))
-        if not electroded:
-            return ()
-        if self.wiring == "parallel":
-            return (electroded,)
-        return tuple(zip(electroded))
+        if self.wiring == "independent":
+            return tuple(zip(electroded))
+        return (electroded,) if electroded else ()
 
     @property
     def n_terminals(self) -> int:
@@ -207,10 +204,10 @@ class SectionConstitutive(_Record):
     and it is stored exactly as assembled, without symmetrization. It must
     be finite, and Kmm and Cq positive definite: each block's symmetric part
     must have a Cholesky factor, which an exactly diagonal block (Cq under ND
-    and NS) has when its diagonal is positive. The entries are converted to
-    floats and checked finite first (materials._as_matrix), because a NaN or
-    infinite block factors without an error, and then the shape. Every fault
-    raises LayupError.
+    and NS) has when its diagonal is positive. Each entry must first be a
+    number (materials._as_matrix), because a NaN or infinite block factors
+    without an error, and then the shape is checked. Every fault raises
+    LayupError.
     """
 
     def __init__(self, matrix):
@@ -315,22 +312,21 @@ class _LayerTable(NamedTuple):
 
 def _layer_table(section: Section) -> _LayerTable:
     """The read-only table of a section (see _LayerTable)."""
-    (materials, h, poling, electroded), n_terminals = section._columns, section.n_terminals
+    (materials, h, poling, _), terminals = section._columns, section.terminals
     q11, q12, q22, e31, e32, eps33 = np.fromiter(chain.from_iterable(map(
         attrgetter("Q11", "Q12", "Q22", "e31", "e32", "eps33"), materials)),
         float, 6 * len(h)).reshape(-1, 6).T
     h, poling = np.array(h), np.array(poling, float)
     z = np.array(section.z_interfaces)
-    members = np.fromiter(compress(count(), electroded), int)
-    collect = (np.arange(len(members)) if section.wiring == "independent"
-               else np.zeros(len(members), int))
+    members = np.fromiter(chain.from_iterable(terminals), int)
+    collect = np.repeat(np.arange(len(terminals)), tuple(map(len, terminals)))
     zc = z[:-1] + 0.5 * h
     m1 = h * zc
     moments = np.array((h, m1, m1 * zc + h ** 3 / 12.0))
     pm = poling[members]
     g = -pm / h[members]
     electrode = np.array((-g * h[members], -g * m1[members], pm, pm * zc[members]))
-    slots = (collect + n_terminals * np.arange(4)[:, None]).ravel()
+    slots = (collect + len(terminals) * np.arange(4)[:, None]).ravel()
     k0, k1, k2 = np.add.reduce(q22 * moments, axis=1)
     table = _LayerTable(q11, q12, q22, e31, e32, eps33, z, moments, members, collect, g, pm * g,
                         electrode, slots, np.array(((k0, k1), (k1, k2))))
@@ -543,8 +539,8 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     default)}. The layup is read by materials._read_fields and its layers
     column by column by materials._read_columns. An unknown key is rejected,
     naming the nearest known key, and so is a missing required key; material,
-    poling and wiring must be strings, width_mm and thickness_mm finite
-    numbers (an int or a float, not a bool) and electroded a bool. Material
+    poling and wiring must be strings, and the rest what Section takes: width_mm
+    and thickness_mm numbers (materials._is_real), electroded a bool. Material
     names resolve against one mapping, the built-in records overlaid by the
     optional materials mapping: an entry there shadows the built-in of its
     name. Each distinct name and poling key is resolved once, and the
@@ -573,7 +569,7 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
                 raise LayupError(f"unknown poling {key!r} (expected +z, -z or none)")
             _check_layer(as_plane(records[name]), h_mm * 1e-3, _POLING[key], flag)
     return Section(tuple(map(planes.__getitem__, names)),
-                   tuple(map((1e-3).__rmul__, thickness_mm)),    # the bits of t * 1e-3
+                   tuple(map(mul, thickness_mm, repeat(1e-3))),
                    polings, electroded, width * 1e-3, wiring)
 
 

@@ -174,7 +174,8 @@ class TestValidation:
                        epsS=EPS0 * np.eye(3), density=1.0)
 
     def test_ragged_matrix_is_material_error(self):
-        with pytest.raises(MaterialError, match="^x: cE must be a matrix of numbers: "):
+        with pytest.raises(MaterialError,
+                           match=r"^x: cE must be a matrix of numbers, got \[1\.0, 2\.0\]$"):
             Material3D(name="x", cE=[[1.0, 2.0], [3.0]], e=np.zeros((3, 6)),
                        epsS=EPS0 * np.eye(3), density=1.0)
 
@@ -315,14 +316,15 @@ class TestMaterialDb:
         return entry
 
     def test_overflowing_constant_named(self, tmp_path):
-        # 1e400 parses to inf; it is rejected before the symmetry test, which
-        # would otherwise warn on inf - inf
+        # 1e400 parses to inf, which is no number: it is named as the field's entry
+        # before the symmetry test, which would otherwise warn on inf - inf
         import json
         entry = self._al_entry()
         entry["cE_Pa"][0][0] = "BIG"
         path = tmp_path / "db.json"
         path.write_text(json.dumps({"materials": [entry]}).replace('"BIG"', "1e400"))
-        with pytest.raises(MaterialError, match="x: cE has non-finite entries"):
+        with pytest.raises(MaterialError, match="^invalid material x: field 'cE_Pa' must be "
+                                                "a matrix of numbers, got inf$"):
             load_material_db(path)
 
     def test_overflowing_rank_one_stiffness_rejected(self, tmp_path):

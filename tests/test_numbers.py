@@ -27,6 +27,7 @@ from pzbeam import (
     Section,
     SectionConstitutive,
     as_plane,
+    build_section,
     builtin_materials,
     cantilever_tip_deflection,
     capacitance_per_length,
@@ -152,6 +153,8 @@ PROBES = [
      "mass per length must be positive and finite, got inf"),
     ("np.True_ mass", lambda: Beam(K, np.True_, 0.1), BeamError, "got np.True_"),
     ("np.True_ beam length", lambda: Beam(K, 1.0, np.True_), BeamError, "got np.True_"),
+    ("a beam with no section law", lambda: Beam(None, 1.0, 0.1), BeamError,
+     "constitutive must be a SectionConstitutive, got NoneType"),
     ("a bool terminal is no mask", lambda: capacitance_per_length(TWO_TERMINALS, "blocked", True),
      LayupError, "terminal True out of range (section has 2)"),
     ("a string terminal", lambda: capacitance_per_length(K, "blocked", "0"), LayupError,
@@ -199,9 +202,12 @@ PROBES = [
     ("no sublayers", lambda: discretized_oracle(SANDWICH, "nd", 0), LayupError,
      "sublayer count must be an integer of at least 1, got 0"),
     ("a matrix of strings", lambda: SectionConstitutive([["a", "b"], ["c", "d"]]), LayupError,
-     "constitutive matrix must be a matrix of numbers: could not convert string to float: 'a'"),
+     "constitutive matrix must be a matrix of numbers, got 'a'"),
     ("a ragged matrix", lambda: SectionConstitutive([[1.0, 2.0], [3.0]]), LayupError,
-     "constitutive matrix must be a matrix of numbers: "),
+     "constitutive matrix must be a matrix of numbers, got [1.0, 2.0]"),
+    ("arrays of unequal shapes, which numpy cannot nest",
+     lambda: SectionConstitutive([np.zeros((2, 2)), np.zeros((2, 3))]), LayupError,
+     "constitutive matrix must be a matrix of numbers: "),    # then numpy's reason
     ("a 3D material", lambda: Section((AL,), (1e-3,), (0,), (False,), 0.01), LayupError,
      "a layer needs a PlaneMaterial and a bool electroded flag, got Material3D and False"),
     ("a d-form material", lambda: Section((PZT,), (1e-3,), (1,), (False,), 0.01), LayupError,
@@ -244,10 +250,53 @@ def _long_double_matrix(matrix):
                     reason="np.longdouble is the double on this platform")
 @pytest.mark.parametrize("call, error, message", [
     (lambda: SectionConstitutive(_long_double_matrix([[1.0, 0.0], [0.0, 1.0]])), LayupError,
-     "constitutive matrix has non-finite entries"),
+     "constitutive matrix must be a matrix of numbers, got np.longdouble('1e+400')"),
     (lambda: Material3D("x", _long_double_matrix(AL.cE), AL.e, AL.epsS, AL.density),
-     MaterialError, "x: cE has non-finite entries"),
+     MaterialError, "x: cE must be a matrix of numbers, got np.longdouble('1e+400')"),
 ], ids=["SectionConstitutive", "Material3D"])
 def test_a_long_double_beyond_the_double_range_is_rejected_without_a_warning(call, error,
                                                                              message):
-    test_probe(call, error, message)    # the cast overflows to inf, and no warning is printed
+    test_probe(call, error, message)    # the entry is named, and no warning is printed
+
+
+def _entry_at_origin(matrix, value):
+    rows = matrix.tolist()
+    rows[0][0] = value
+    return rows
+
+
+MATRICES = [
+    ("SectionConstitutive", lambda v: SectionConstitutive([[v, 0.0], [0.0, 1.0]]), LayupError,
+     "constitutive matrix"),
+    ("Material3D cE", lambda v: Material3D("x", _entry_at_origin(AL.cE, v), AL.e, AL.epsS, 1.0),
+     MaterialError, "x: cE"),
+    ("MaterialDForm sE",
+     lambda v: MaterialDForm("x", _entry_at_origin(PZT.sE, v), PZT.d, PZT.epsT, 1.0),
+     MaterialError, "x: sE"),
+]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS, ids=[repr(v)[:24] for v in NOT_NUMBERS])
+@pytest.mark.parametrize("call, error, what", [m[1:] for m in MATRICES],
+                         ids=[m[0] for m in MATRICES])
+def test_every_matrix_entry_is_a_number_by_the_one_rule(call, error, what, value):
+    # no entry is cast first: "1", True, np.True_ and np.array(1.0) are not 1.0
+    test_probe(lambda: call(value), error, f"{what} must be a matrix of numbers, got {value!r}")
+
+
+@pytest.mark.parametrize("number, width, thicknesses", [(np.float64, 10.5, (0.27, 0.5)),
+                                                        (np.int64, 10, (1, 2))])
+def test_a_layup_dict_takes_the_numbers_a_section_takes(number, width, thicknesses):
+    def layup(width, thicknesses, flag, *extra):
+        pzt, al = ({"material": "PZT-5H", "thickness_mm": thicknesses[0], "poling": "+z",
+                    "electroded": flag}, {"material": "Al-6061", "thickness_mm": thicknesses[1]})
+        return {"width_mm": width, "wiring": "independent", "layers": [pzt, al, pzt, *extra]}
+
+    numbers = number(width), tuple(map(number, thicknesses)), np.True_
+    python, numpy = build_section(layup(width, thicknesses, True)), build_section(layup(*numbers))
+    assert numpy._columns == python._columns and numpy.width == python.width
+    for ours, theirs in zip(numpy._table, python._table):
+        assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    # the layer-by-layer reader takes them too: the fault named is the unknown material
+    with pytest.raises(LayupError, match="^unknown material 'x'$"):
+        build_section(layup(*numbers, {"material": "x", "thickness_mm": number(1)}))

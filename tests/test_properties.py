@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -604,8 +605,20 @@ def test_json_like_layups_reduce_finitely_or_raise_typed_errors(layup):
         assert np.isfinite(matrix).all()
 
 
+# numpy scalars and doubles up to the largest, as a library caller may pass them
+_numpy_layers = _objects({
+    "material": st.just("Al-6061"),
+    "thickness_mm": st.one_of(
+        st.floats(1e308, sys.float_info.max), st.floats().map(np.float64),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.sampled_from((np.float32(0.5), np.uint8(1), np.True_))),
+    "electroded": st.sampled_from((np.True_, np.False_, np.int8(1))),
+}, typo="electrode")
+
+
 @settings(max_examples=300, deadline=None)
-@given(entries=st.lists(_layers | st.just({"material": "Al-6061", "thickness_mm": 10 ** 400}),
+@given(entries=st.lists(_layers | _numpy_layers
+                        | st.just({"material": "Al-6061", "thickness_mm": 10 ** 400}),
                         min_size=1, max_size=4))
 @example(entries=[{"material": "Al-6061", "thickness_mm": 1.0}, "Al-6061"])
 def test_column_reader_takes_what_the_field_reader_takes(entries):

@@ -20,8 +20,10 @@ Categories:
   matrix when the planted value happens to be valid.
 * boundary: each numeric parameter of the public entry points called with a
   fixed list of values that are not numbers (or not counts), and with one
-  valid value. The exception's type and message, whatever its type, or the
-  result, plus every warning the call gave.
+  valid value; so is entry [0][0] of a constitutive and a material matrix,
+  each number and the electroded flag of a layup dict, and a beam's
+  constitutive law. The exception's type and message, whatever its type, or
+  the result, plus every warning the call gave.
 """
 
 import contextlib
@@ -40,7 +42,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from pzbeam import (Beam, GeneralizedState, LayupError, MaterialDForm,  # noqa: E402
+from pzbeam import (Beam, GeneralizedState, LayupError, Material3D, MaterialDForm,  # noqa: E402
                     MaterialError, PlaneMaterial, Section, SectionConstitutive, as_plane,
                     build_section, builtin_materials, cantilever_tip_deflection,
                     capacitance_per_length, discretized_oracle, free_actuation_state,
@@ -144,6 +146,19 @@ NOT_NUMBERS = ("1", None, True, np.True_, 1j, math.nan, math.inf, -math.inf, 10 
 FLOATS = (1.0, np.float64(2.0))
 
 
+def _at_origin(matrix, value):
+    """The rows of matrix with entry [0][0] replaced by value."""
+    rows = matrix.tolist()
+    rows[0][0] = value
+    return rows
+
+
+def _layup(width, thickness, flag):
+    """The ND matrix of a one-layer layup dict."""
+    layer = {"material": "PZT-5H", "thickness_mm": thickness, "poling": "+z", "electroded": flag}
+    return reduce_section(build_section({"width_mm": width, "layers": [layer]}), "nd")
+
+
 def _parameters():
     """(name, function, valid arguments, index of the parameter, extra values) per parameter."""
     pzt, al = (builtin_materials()[name] for name in ("PZT-5H", "Al-6061"))
@@ -164,6 +179,16 @@ def _parameters():
     yield "Section.width", Section, ((plane,), (1e-3,), (0,), (False,), 0.01), 4, ()
     yield ("SectionConstitutive.matrix", SectionConstitutive, (k.matrix,), 0,
            ([["a", "b"], ["c", "d"]], [[1.0, 2.0], [3.0]], [[1.0, 0.0], [0.0, 1j]]))
+    for name, function, matrix in (
+            ("SectionConstitutive.matrix[0][0]", SectionConstitutive, k.matrix),
+            ("Material3D.cE[0][0]", lambda m: Material3D("x", m, al.e, al.epsS, 1.0), al.cE),
+            ("MaterialDForm.sE[0][0]", lambda m: MaterialDForm("x", m, pzt.d, pzt.epsT, 1.0),
+             pzt.sE)):
+        yield (name, lambda v, f=function, m=matrix: f(_at_origin(m, v)), (matrix[0, 0],), 0,
+               ())
+    for i, name in enumerate(("width_mm", "thickness_mm", "electroded")):
+        yield (f"build_section.{name}", _layup, (10.0, 0.5, True), i,
+               (np.False_, "no", 1) if i == 2 else (np.float64(2.0), np.int64(2)))
     for i, name in enumerate(("eps", "kappa", "voltages")):
         yield (f"GeneralizedState.{name}", GeneralizedState, (0.0, 0.0, [1.0]), i,
                ("12", [None], [1.0, "2"]) if i == 2 else ())
@@ -174,7 +199,7 @@ def _parameters():
                (0.0, 0.5, -1))
     yield ("MaterialDForm.density", MaterialDForm, ("x", pzt.sE, pzt.d, pzt.epsT, 7800.0), 4,
            (0.0,))
-    for i, name in enumerate(("mass_per_length", "length"), 1):
+    for i, name in enumerate(("constitutive", "mass_per_length", "length")):
         yield f"Beam.{name}", Beam, (k, 1.0, 0.1), i, (0.0,)
     yield "make_beam.length", make_beam, (sandwich, "nd", 0.1), 2, ()
     for function, subject in ((free_actuation_state, k), (cantilever_tip_deflection, beam)):
