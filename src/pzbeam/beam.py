@@ -28,7 +28,8 @@ class Beam(_Record):
     """Uniform beam: reduced section, mass per length (kg/m), length (m) and boundary.
 
     constitutive is a SectionConstitutive, the mass per length a positive
-    finite number and the length from 1e-30 to 1e30 m (see materials._is_real).
+    finite number and the length from 1e-30 to 1e30 m (see materials._is_real);
+    both numbers are stored as floats.
     """
 
     def __init__(self, constitutive: SectionConstitutive, mass_per_length: float, length: float,
@@ -41,8 +42,8 @@ class Beam(_Record):
         _check_length(length, "length", BeamError)
         if boundary not in BOUNDARIES:
             raise BeamError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
-        vars(self).update(constitutive=constitutive, mass_per_length=mass_per_length,
-                          length=length, boundary=boundary)
+        vars(self).update(constitutive=constitutive, mass_per_length=float(mass_per_length),
+                          length=float(length), boundary=boundary)
 
 
 def make_beam(section: Section, closure, length: float, boundary: str = "cantilever") -> Beam:

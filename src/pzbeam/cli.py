@@ -345,8 +345,8 @@ def _write_stdout(text: str) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    section = load_layup(args.layup_path, material_db=load_material_db(args.material_db_path))
     with np.errstate(over="raise", invalid="raise"):    # underflow to 0 is fine
+        section = load_layup(args.layup_path, material_db=load_material_db(args.material_db_path))
         report = _COMMANDS[args.command](section, args)
     text = _RENDERERS[args.output](args.command, report)
     try:    # reported here: main() takes any other OSError for an unreadable input

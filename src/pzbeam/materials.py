@@ -144,7 +144,7 @@ def _read_fields(entry, fields, what, error, prefix=""):
     return values
 
 
-def _read_columns(entries, fields):
+def _read_by_column(entries, fields):
     """The columns of JSON objects in table order if _read_fields takes each, else None."""
     if not (all(map(isinstance, entries, repeat(dict)))
             and fields.keys() >= set().union(*entries)):
@@ -229,14 +229,17 @@ def _check_spd(m, what):
 
 
 def _init_3d(record, name, matrices, density, provenance):
-    """Check and store a 3D record: stiffness or compliance, piezoelectric, permittivity."""
+    """Check and store a 3D record: stiffness or compliance, piezoelectric, permittivity.
+
+    The matrices are stored as read-only float arrays and the density as a float.
+    """
     fields = record._fields[1:4]
     matrices = [_as_matrix(m, shape, f"{name}: {field}")
                 for m, field, shape in zip(matrices, fields, ((6, 6), (3, 6), (3, 3)))]
     for m, field in zip(matrices[::2], fields[::2]):
         _check_spd(m, f"{name}: {field}")
     _check_density(name, density)
-    vars(record).update(zip(record._fields, (name, *matrices, density, provenance)))
+    vars(record).update(zip(record._fields, (name, *matrices, float(density), provenance)))
 
 
 class Material3D(_Record):
@@ -278,20 +281,22 @@ class PlaneMaterial(_Record):
     and the through-thickness electric pair E3, D3: Q11, Q12, Q22 in Pa,
     e31, e32 in C/m^2, eps33 in F/m, density in kg/m^3. Every constant must
     be a finite number (see _is_real), eps33 and density positive, and the
-    in-plane stiffness [[Q11, Q12], [Q12, Q22]] positive definite.
+    in-plane stiffness [[Q11, Q12], [Q12, Q22]] positive definite. Each
+    number is stored as a float.
     """
 
     def __init__(self, name: str, Q11: float, Q12: float, Q22: float, e31: float, e32: float,
                  eps33: float, density: float):
-        vars(self).update(name=name, Q11=Q11, Q12=Q12, Q22=Q22, e31=e31, e32=e32,
-                          eps33=eps33, density=density)
-        for field in ("Q11", "Q12", "Q22", "e31", "e32", "eps33"):
-            if not _is_real(getattr(self, field)):
+        constants = Q11, Q12, Q22, e31, e32, eps33
+        for field, value in zip(self._fields[1:], constants):
+            if not _is_real(value):
                 raise MaterialError(f"{name}: {field} must be finite")
+        Q11, Q12, Q22, e31, e32, eps33 = constants = tuple(map(float, constants))
         _check_spd(np.array([[Q11, Q12], [Q12, Q22]]), f"{name}: in-plane stiffness")
         if not eps33 > 0.0:
             raise MaterialError(f"{name}: eps33 must be positive")
         _check_density(name, density)
+        vars(self).update(zip(self._fields, (name, *constants, float(density))))
 
     @property
     def has_coupling(self) -> bool:

@@ -36,11 +36,11 @@ import numpy as np
 from .section import Closure, LayupError, Section, SectionConstitutive, _is_count
 
 
-def _columns(section: Section, n: int) -> tuple:
+def _sublayers(section: Section, n: int) -> tuple:
     """Material, thickness, center and E3 columns of the stack cut into n sublayers per layer."""
     if not _is_count(n, 1):
         raise LayupError(f"sublayer count must be an integer of at least 1, got {n!r}")
-    materials, thickness, poling, _ = section._columns
+    materials, thickness, poling = section.materials, section.thicknesses, section.polings
     ev = np.zeros((len(thickness), 2 + section.n_terminals))  # E3 row per unit state, poling frame
     for t, members in enumerate(section.terminals):
         for i in members:
@@ -55,7 +55,7 @@ def _columns(section: Section, n: int) -> tuple:
 
 def _assemble(section: Section, closure: Closure, n: int):
     """Eliminate the T22 unknowns; return the Hessian and NSR multipliers."""
-    q11, q12, q22, e31, e32, eps33, h, zc, ev = _columns(section, n)
+    q11, q12, q22, e31, e32, eps33, h, zc, ev = _sublayers(section, n)
     w = section.width
     ns, n_u = ev.shape
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain, compress, count, repeat
 from operator import attrgetter, mul
 from pathlib import Path
@@ -62,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, PlaneMaterial, \
-    _as_matrix, _is_count, _is_positive_definite, _is_real, _read_columns, _read_fields, \
+    _as_matrix, _is_count, _is_positive_definite, _is_real, _read_by_column, _read_fields, \
     _Record, as_plane, builtin_materials
 
 
@@ -126,11 +125,13 @@ class Section(_Record):
     """A stack of layers, bottom to top, as four columns, with width and electrode wiring.
 
     The columns are plane materials, thicknesses in m, polings and electroded
-    flags; the constructor checks the layers in order and names the first
-    faulty one (see _check_layer). wiring 'parallel' joins all electroded
-    layers into one terminal pair; 'independent' gives every electroded layer
-    its own terminal (ordered bottom to top). The table the reductions read
-    is built once, on first use.
+    flags. The constructor checks the layers in order and names the first
+    faulty one (see _check_layer), then builds the whole section: it stores
+    the thicknesses and the width as Python floats, the total thickness, the
+    interfaces, the terminals and the table the reductions read. wiring
+    'parallel' joins all electroded layers into one terminal pair;
+    'independent' gives every electroded layer its own terminal (ordered
+    bottom to top).
     """
 
     def __init__(self, materials, thicknesses, polings, electroded, width: float,
@@ -146,23 +147,16 @@ class Section(_Record):
         _check_length(width, "width", LayupError)
         if wiring not in ("parallel", "independent"):
             raise LayupError(f"unknown wiring {wiring!r}")
-        vars(self).update(zip(self._fields, (*columns, width, wiring)), _columns=columns)
-
-    @property
-    def thickness(self) -> float:
-        return sum(self.thicknesses)
-
-    @cached_property
-    def z_interfaces(self) -> tuple:
-        return tuple(accumulate(self.thicknesses, initial=-self.thickness / 2.0))
-
-    @cached_property
-    def terminals(self) -> tuple:
-        """The layer indices of each terminal."""
-        electroded = tuple(compress(count(), self.electroded))
-        if self.wiring == "independent":
-            return tuple(zip(electroded))
-        return (electroded,) if electroded else ()
+        h = tuple(map(float, h))
+        thickness, flagged = sum(h), tuple(compress(count(), electroded))
+        # the layer indices of each terminal
+        terminals = (tuple(zip(flagged)) if wiring == "independent"
+                     else (flagged,) if flagged else ())
+        vars(self).update(zip(self._fields, (materials, h, polings, electroded, float(width),
+                                             wiring)), thickness=thickness,
+                          z_interfaces=tuple(accumulate(h, initial=-thickness / 2.0)),
+                          terminals=terminals)
+        vars(self).update(_table=_layer_table(self))
 
     @property
     def n_terminals(self) -> int:
@@ -172,16 +166,13 @@ class Section(_Record):
     def mass_per_length(self) -> float:
         return self.width * sum(m.density * t for m, t in zip(self.materials, self.thicknesses))
 
-    @cached_property
-    def _table(self) -> _LayerTable:
-        return _layer_table(self)
-
 
 class GeneralizedState(_Record):
     """Kinematic state of the 1D model: S11(z) = eps + z*kappa plus voltages.
 
     eps, kappa and each item of the iterable voltages must be a finite number
-    (materials._is_real); the voltages are stored as a tuple of floats.
+    (materials._is_real); eps and kappa are stored as floats and the voltages
+    as a tuple of floats.
     """
 
     def __init__(self, eps: float = 0.0, kappa: float = 0.0, voltages=()):
@@ -189,7 +180,7 @@ class GeneralizedState(_Record):
         vars(self).update(eps=eps, kappa=kappa, voltages=voltages)
         if type(voltages) is not tuple or not all(map(_is_real, (eps, kappa, *voltages))):
             raise LayupError(f"generalized state must be finite numbers, got {self!r}")
-        vars(self).update(voltages=tuple(map(float, voltages)))
+        vars(self).update(eps=float(eps), kappa=float(kappa), voltages=tuple(map(float, voltages)))
 
 
 class SectionConstitutive(_Record):
@@ -280,7 +271,7 @@ class StressProfile(NamedTuple):
 # the per-layer table
 
 class _LayerTable(NamedTuple):
-    """Read-only columns of one section, built once per Section.
+    """Read-only columns of one section, built by the Section constructor.
 
     The interfaces z, and per layer the material columns and the moments
     rows m0, m1, m2 of the layer centered at zc. Electroded layer members[i]
@@ -312,7 +303,8 @@ class _LayerTable(NamedTuple):
 
 def _layer_table(section: Section) -> _LayerTable:
     """The read-only table of a section (see _LayerTable)."""
-    (materials, h, poling, _), terminals = section._columns, section.terminals
+    materials, h, poling, terminals = (section.materials, section.thicknesses, section.polings,
+                                       section.terminals)
     q11, q12, q22, e31, e32, eps33 = np.fromiter(chain.from_iterable(map(
         attrgetter("Q11", "Q12", "Q22", "e31", "e32", "eps33"), materials)),
         float, 6 * len(h)).reshape(-1, 6).T
@@ -371,7 +363,7 @@ def nsr_transverse_field(section: Section) -> np.ndarray:
     return np.column_stack((a, b))
 
 
-def _closure_columns(t: _LayerTable, closure: Closure) -> tuple:
+def _under_closure(t: _LayerTable, closure: Closure) -> tuple:
     """Q11, e31 and eps33 under the closure; NS condenses them by T22 = 0 layer by layer."""
     if closure is not Closure.NS:
         return t.q11, t.e31, t.eps33
@@ -392,7 +384,7 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     closure = Closure.coerce(closure)
     t = section._table
     n_terminals = section.n_terminals
-    q11, e31, eps33 = _closure_columns(t, closure)
+    q11, e31, eps33 = _under_closure(t, closure)
     s0, s1, s2 = np.add.reduce(q11 * t.moments, axis=1)
     v = _scatter(t, e31, n_terminals)
     k = np.zeros((2 + n_terminals, 2 + n_terminals))
@@ -462,7 +454,7 @@ def recover_stress_profile(section: Section, closure, state: GeneralizedState,
     # E3 of the one imposed state: g times the voltage of the layer's terminal
     e3 = np.zeros(len(t.q11))
     e3[t.members] = t.g * np.array(state.voltages)[t.collect]
-    q11, e31, _ = _closure_columns(t, closure)
+    q11, e31, _ = _under_closure(t, closure)
     s0 = s1 = 0.0
     if closure is Closure.NSR:
         # a + b*z cancels both resultants of the T22 that S22 = 0 leaves
@@ -537,7 +529,7 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     'independent') and layers, a bottom-to-top list of {material,
     thickness_mm, poling ('none' by default), electroded (false by
     default)}. The layup is read by materials._read_fields and its layers
-    column by column by materials._read_columns. An unknown key is rejected,
+    column by column by materials._read_by_column. An unknown key is rejected,
     naming the nearest known key, and so is a missing required key; material,
     poling and wiring must be strings, and the rest what Section takes: width_mm
     and thickness_mm numbers (materials._is_real), electroded a bool. Material
@@ -551,7 +543,7 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
     width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
     if not entries:
         raise LayupError("layup has no layers")
-    columns = _read_columns(entries, _LAYER_FIELDS)
+    columns = _read_by_column(entries, _LAYER_FIELDS)
     names, thickness_mm, poling_keys, electroded = columns or ((),) * 4
     records = {**builtin_materials(), **(materials or {})}
     try:

@@ -22,6 +22,11 @@ def section_of(rows, width: float, wiring: str = "parallel") -> Section:
     return Section(*zip(*(row + (0, False)[len(row) - 2:] for row in rows)), width, wiring)
 
 
+def columns_of(section: Section) -> tuple:
+    """The four per-layer columns of a section: materials, thicknesses, polings, electroded."""
+    return section.materials, section.thicknesses, section.polings, section.electroded
+
+
 def section_of_layup(layup: dict, planes: dict) -> Section:
     """The Section constructor called on the columns of a layup over named plane materials."""
     return section_of([(planes[l["material"]], l["thickness_mm"] * 1e-3,

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,25 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err == ("pzbeam: input error: PZT-5H: inconsistent constants "
                            "(epsS not positive definite)\n")
+
+    @pytest.mark.parametrize("model", ["nd", "nsr"])
+    def test_overflowing_layer_table_is_one_line_computation_error(self, capsys, tmp_path,
+                                                                   model):
+        # Q22 = 1e300 times the h^3/12 of a 1e29 m layer overflows as the section is built
+        stiff = {"name": "Stiff", "form": "e",
+                 "cE_Pa": np.diag([1e11, 1e300, 1e11, 1e10, 1e10, 1e10]).tolist(),
+                 "e_C_per_m2": np.zeros((3, 6)).tolist(),
+                 "epsS_F_per_m": np.diag([1e-11] * 3).tolist(), "density_kg_m3": 1000.0}
+        db, layup = tmp_path / "db.json", tmp_path / "layup.json"
+        db.write_text(json.dumps({"materials": [stiff]}))
+        layup.write_text(json.dumps({"width_mm": 10.0, "layers": [
+            {"material": "Stiff", "thickness_mm": 1e32}]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "reduce", "--layup", str(layup),
+                                     "--materials", str(db), "--model", model)
+        assert (code, out, caught) == (1, "", [])
+        assert err == "pzbeam: computation error: overflow encountered in multiply\n"
 
     def test_computation_error(self, capsys, monkeypatch):
         def singular(*args, **kwargs):

@@ -43,6 +43,8 @@ from pzbeam import (
     sensor_charge,
 )
 
+from conftest import columns_of
+
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 PZT, AL = (builtin_materials()[name] for name in ("PZT-5H", "Al-6061"))
 PZT_PLANE, AL_PLANE = as_plane(PZT), as_plane(AL)
@@ -294,9 +296,31 @@ def test_a_layup_dict_takes_the_numbers_a_section_takes(number, width, thickness
 
     numbers = number(width), tuple(map(number, thicknesses)), np.True_
     python, numpy = build_section(layup(width, thicknesses, True)), build_section(layup(*numbers))
-    assert numpy._columns == python._columns and numpy.width == python.width
+    assert columns_of(numpy) == columns_of(python) and numpy.width == python.width
     for ours, theirs in zip(numpy._table, python._table):
         assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
     # the layer-by-layer reader takes them too: the fault named is the unknown material
     with pytest.raises(LayupError, match="^unknown material 'x'$"):
         build_section(layup(*numbers, {"material": "x", "thickness_mm": number(1)}))
+
+
+@pytest.mark.parametrize("number", [np.float32, np.int64, np.float64, int])
+def test_each_number_type_gives_the_bits_of_the_same_floats(number):
+    # whole numbers, so that each is an np.int64 too; both sides get the same values, and
+    # the cube of the 3e6 m layer is beyond the int64 range
+    def outputs(num):
+        pzt = as_plane(MaterialDForm("pzt", PZT.sE, PZT.d, PZT.epsT, num(7800)))
+        al = PlaneMaterial("al", *map(num, (77 * 10 ** 9, 25 * 10 ** 9, 77 * 10 ** 9, 0, 0, 1,
+                                            2700)))
+        section = Section((pzt, al, pzt), tuple(map(num, (1, 3 * 10 ** 6, 2))), (1, 0, -1),
+                          (True, False, True), num(2), "independent")
+        state = GeneralizedState(num(1), num(-1), tuple(map(num, (100, -50))))
+        profile = recover_stress_profile(section, "nsr", state)
+        beam = make_beam(section, "nsr", num(30))
+        arrays = [*(reduce_section(section, c).matrix for c in ("nd", "ns", "nsr")),
+                  *profile[:3], *(modal_frequencies(beam, c, 3) for c in ("short", "open"))]
+        numbers = (section.mass_per_length, beam.mass_per_length, beam.length, state.eps,
+                   state.kappa, profile.n2, profile.m2)
+        return [a.tobytes() for a in arrays], [(type(x), x) for x in numbers]
+
+    assert outputs(number) == outputs(lambda v: float(number(v)))

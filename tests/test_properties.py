@@ -30,10 +30,10 @@ from pzbeam import (
     recover_stress_profile,
     reduce_section,
 )
-from pzbeam.materials import _is_positive_definite, _read_columns, _read_fields
+from pzbeam.materials import _is_positive_definite, _read_by_column, _read_fields
 from pzbeam.section import _LAYER_FIELDS
 
-from conftest import section_of, section_of_layup
+from conftest import columns_of, section_of, section_of_layup
 
 CLOSURES = ("nd", "ns", "nsr")
 
@@ -119,7 +119,7 @@ def test_build_section_equals_the_section_of_its_columns(drawn):
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes())
     for name in ("thickness", "z_interfaces", "terminals", "mass_per_length"):
         assert getattr(built, name) == getattr(direct, name)
-    assert built._columns == direct._columns
+    assert columns_of(built) == columns_of(direct)
     assert built == direct and hash(built) == hash(direct)
 
 
@@ -249,13 +249,13 @@ def test_a_layup_fails_as_its_first_layer_that_fails_alone(drawn):
     alone = []
     for entry in layup["layers"]:
         try:
-            alone.append(build_section({**layup, "layers": [entry]}, materials)._columns)
+            alone.append(columns_of(build_section({**layup, "layers": [entry]}, materials)))
         except (LayupError, MaterialError) as fault:
             with pytest.raises((LayupError, MaterialError)) as raised:
                 build_section(layup, materials)
             assert (raised.type, str(raised.value)) == (type(fault), str(fault))
             return
-    assert build_section(layup, materials)._columns == tuple(
+    assert columns_of(build_section(layup, materials)) == tuple(
         sum(column, ()) for column in zip(*alone))
 
 
@@ -626,7 +626,7 @@ def test_column_reader_takes_what_the_field_reader_takes(entries):
         rows = [_read_fields(entry, _LAYER_FIELDS, "layer", LayupError) for entry in entries]
     except LayupError:
         rows = None
-    columns = _read_columns(entries, _LAYER_FIELDS)
+    columns = _read_by_column(entries, _LAYER_FIELDS)
     if rows is None:
         assert columns is None
     else:

@@ -33,7 +33,7 @@ from pzbeam import (
     reduce_section,
 )
 
-from conftest import section_of, section_of_layup
+from conftest import columns_of, section_of, section_of_layup
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 AL = condense_to_plane(isotropic_elastic("al", 69e9, 0.33, 2700.0))
@@ -638,6 +638,17 @@ class TestSharedTable:
                 assert a.tobytes() == b.tobytes(), call
         assert shared._table is shared._table
 
+    def test_the_constructor_builds_the_one_table(self, count_calls):
+        calls = count_calls(pzbeam.section, "_layer_table")
+        section = build_section(MIXED_LAYUP)
+        assert calls == [(section,)]
+        for closure in ("nd", "ns", "nsr"):
+            reduce_section(section, closure)
+        recover_stress_profile(section, "nsr", self.STATE)
+        assert len(calls) == 1
+        assert not any(isinstance(value, functools.cached_property)
+                       for value in vars(Section).values())
+
     def test_table_is_read_only(self):
         for column in build_section(MIXED_LAYUP)._table:
             with pytest.raises(ValueError, match="read-only"):
@@ -655,7 +666,7 @@ class TestLayerRecords:
     def test_no_layer_checks_on_the_reduction_path(self, count_calls):
         built = build_section(self.LAYUP)
         calls = count_calls(pzbeam.section, "_check_layer")
-        section = Section(*built._columns, built.width, built.wiring)
+        section = Section(*columns_of(built), built.width, built.wiring)
         assert len(calls) == 95 and section == built
         for closure in ("nd", "ns", "nsr"):
             reduce_section(section, closure)
