@@ -28,8 +28,7 @@ class Beam(_Record):
     """Uniform beam: reduced section, mass per length (kg/m), length (m) and boundary.
 
     constitutive is a SectionConstitutive, the mass per length a positive
-    finite number and the length from 1e-30 to 1e30 m (see materials._is_real);
-    both numbers are stored as floats.
+    number (see _is_real) and the length within a layer's bounds (_check_length).
     """
 
     def __init__(self, constitutive: SectionConstitutive, mass_per_length: float, length: float,
@@ -79,7 +78,7 @@ def cantilever_tip_deflection(beam: Beam, voltages) -> float:
 def sensor_charge(k: SectionConstitutive, eps: float = 0.0, kappa: float = 0.0) -> np.ndarray:
     """Short-circuit charge per unit length, q = -Kme^T [eps; kappa] at V = 0.
 
-    eps and kappa must be finite numbers (see materials._is_real).
+    eps and kappa must be numbers (see _is_real).
     """
     if not (_is_real(eps) and _is_real(kappa)):
         raise BeamError(f"strain and curvature must be finite numbers, got {eps!r}, {kappa!r}")
@@ -102,7 +101,7 @@ def _boundary_eigenvalues(boundary: str, n_modes: int) -> np.ndarray:
 def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
     """Bending natural frequencies f_n = (lambda_n^2 / 2 pi) sqrt(D_eff / m L^4), Hz.
 
-    n_modes is a count of at least 1 (see materials._is_count).
+    n_modes is a count of at least 1 (see _is_count).
     """
     if not _is_count(n_modes, 1):
         raise BeamError(f"mode count must be an integer of at least 1, got {n_modes!r}")

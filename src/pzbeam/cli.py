@@ -1,24 +1,14 @@
-"""Command-line front end.
-
-Commands: reduce, compare, stress, capacitance, beam-static, beam-modal.
-Reports go to stdout (deterministic, no timestamps), diagnostics to stderr.
-Exit codes: 0 success, 1 computation or output error, 2 usage or input error.
-
-Unit suffixes are accepted on the command line only (100mm, 2.86nF/mm,
-50V); bare numbers are SI. JSON reports carry SI values with the unit in
-the field name, plus a display block in the table units.
+"""Command-line front end; README's Command line section is its contract.
 
 Run as a program (`python -m pzbeam.cli`, the `pzbeam` console script), the
-module first turns off the cyclic garbage collector and sets
-OPENBLAS_NUM_THREADS=1 unless it is set, before argparse, json and numpy
-load. With the collector on, those imports collect 34 times, 6-8 ms per
-call; nothing needs collecting, since a run leaves about 750 objects in
-reference cycles and the process ends by os._exit. The CLI's small solves
-never use a second BLAS thread, which costs about 90 ms of CPU to start. It
-then runs main(), the atexit handlers and a flush of stdout and stderr, and
-leaves by os._exit, skipping the teardown of numpy and every other module
-(about 20 ms). Importing the module or calling main() does none of this: the
-environment and the collector stay as they were.
+module first turns off the cyclic garbage collector and picks one OpenBLAS
+thread (README, Start-up), before argparse, json and numpy load. With the
+collector on, those imports collect 34 times, 6-8 ms per call; nothing
+needs collecting, since a run leaves about 750 objects in reference cycles
+and the process ends by os._exit. The CLI's small solves never use a second
+BLAS thread, which costs about 90 ms of CPU to start. It then runs main(),
+the atexit handlers and a flush of stdout and stderr, and leaves by
+os._exit, skipping the teardown of numpy and every other module (about 20 ms).
 """
 
 from __future__ import annotations

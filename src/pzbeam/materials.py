@@ -1,28 +1,9 @@
-"""Material records for piezoelectric and elastic layers.
-
-Conventions used throughout the package:
-
-* Voigt order (11, 22, 33, 23, 13, 12) for all 6-component quantities.
-* SI units internally (Pa, C/m^2, F/m, m/V, kg/m^3); display units exist
-  only at the CLI boundary.
-* Piezoelectric constants are stored for poling along the +3 axis. A layer
-  poled along -z reuses the same record; the section assembly applies the
-  poling sign.
+"""Material records for piezoelectric and elastic layers, in README's Conventions.
 
 Two storage forms are supported: the e-form (stiffness cE at constant
 field, stress constants e, clamped permittivity epsS) used by the section
 reduction, and the d-form (compliance sE, strain constants d, free
 permittivity epsT) in which vendor datasheets are published.
-
-Every matrix and scalar of a record must be finite; a NaN or infinite
-constant is rejected, naming the field, before the symmetry and positive
-definiteness tests run. Positive definiteness is tested by a Cholesky
-factorization of the symmetric part 0.5 * m + 0.5 * m.T, which fails exactly
-when some eigenvalue is not positive (up to round-off) and does not overflow
-for finite m; a 2x2 matrix is factored in closed form, with LAPACK's
-arithmetic. An exactly diagonal matrix is tested by diagonal > 0 instead,
-the signs of its pivots. numpy factors a NaN or infinite matrix without an
-error, so the test assumes finite input.
 """
 
 from __future__ import annotations
@@ -120,8 +101,7 @@ _KIND_NAMES = {_STR: "a string", _NUMBER: "a finite number", _BOOL: "true or fal
 def _read_fields(entry, fields, what, error, prefix=""):
     """The values of a JSON object's fields, in table order, or error naming the first fault.
 
-    A number is what _is_real takes, and a bool a bool or np.bool_. An
-    unknown key is named with the nearest known key.
+    An unknown key is named with the nearest known key.
     """
     if not isinstance(entry, dict):
         raise error(f"{prefix}{what} must be a JSON object, got {entry!r}")
@@ -229,10 +209,7 @@ def _check_spd(m, what):
 
 
 def _init_3d(record, name, matrices, density, provenance):
-    """Check and store a 3D record: stiffness or compliance, piezoelectric, permittivity.
-
-    The matrices are stored as read-only float arrays and the density as a float.
-    """
+    """Check and store a 3D record: stiffness or compliance, piezoelectric, permittivity."""
     fields = record._fields[1:4]
     matrices = [_as_matrix(m, shape, f"{name}: {field}")
                 for m, field, shape in zip(matrices, fields, ((6, 6), (3, 6), (3, 3)))]
@@ -279,10 +256,9 @@ class PlaneMaterial(_Record):
 
     The remaining fields are the axial/transverse normal stresses T11, T22
     and the through-thickness electric pair E3, D3: Q11, Q12, Q22 in Pa,
-    e31, e32 in C/m^2, eps33 in F/m, density in kg/m^3. Every constant must
-    be a finite number (see _is_real), eps33 and density positive, and the
-    in-plane stiffness [[Q11, Q12], [Q12, Q22]] positive definite. Each
-    number is stored as a float.
+    e31, e32 in C/m^2, eps33 in F/m, density in kg/m^3. Each constant is a
+    number (see _is_real), eps33 and density positive, and the in-plane
+    stiffness [[Q11, Q12], [Q12, Q22]] positive definite.
     """
 
     def __init__(self, name: str, Q11: float, Q12: float, Q22: float, e31: float, e32: float,
@@ -423,14 +399,7 @@ def _builtin_records() -> dict:
 
 
 def builtin_materials() -> dict:
-    """The records that are always available, even with no database file.
-
-    The records are built once per process, on first use, and every call
-    returns a new dict over those same immutable records, so PZT-5H is
-    converted to e-form and condensed once (see as_plane). A name is
-    resolved by one rule everywhere: a database or mapping entry of the
-    same name replaces the built-in record.
-    """
+    """A new dict of the records that are always available, built once per process (README)."""
     return dict(_builtin_records())
 
 
@@ -461,12 +430,9 @@ def _record_from_json(entry, prefix):
 
 
 def load_material_db(path=None) -> dict:
-    """Load named material records, merging a JSON database over the built-ins.
+    """Load named material records, merging a JSON database (docs/formats.md) over the built-ins.
 
-    The file holds one object, {"materials": [record, ...]}, read by the same
-    rule as a layup. A file record that redefines a built-in name replaces
-    it; duplicate names within one file are rejected. Every fault raises
-    MaterialError.
+    Every fault raises MaterialError.
     """
     records = builtin_materials()
     if path is None:

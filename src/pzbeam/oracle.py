@@ -104,8 +104,8 @@ def _assemble(section: Section, closure: Closure, n: int):
 def discretized_oracle(section: Section, closure, n: int) -> SectionConstitutive:
     """Constitutive matrix from the discretized stationarity problem.
 
-    n, the sublayers per layer, is a count of at least 1 (see
-    materials._is_count); any other value raises LayupError.
+    n, the sublayers per layer, is a count of at least 1 (see _is_count);
+    any other value raises LayupError.
     """
     closure = Closure.coerce(closure)
     hessian, _ = _assemble(section, closure, n)

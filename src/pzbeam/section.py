@@ -12,22 +12,8 @@ energy stationary over it:
           resultants  int T22 dz = 0  and  int z*T22 dz = 0
 
 The trial families are nested ({0} < {a + b*z} < pointwise), which orders
-the blocked capacitances C_ND <= C_NSR <= C_NS.
-
-Sign conventions (single source of truth for the whole package):
-
-* z = 0 at the geometric mid-height of the stack; layers listed bottom to
-  top; positive kappa bends the beam concave toward +z.
-* N = width * int T11 dz,  M = width * int z*T11 dz.
-* Material records hold the piezoelectric constants for poling along +z.
-  An electroded layer of thickness h sees E3 = -poling * V / h in the frame
-  of that record, so in stack coordinates every electroded layer of a
-  terminal sees E3 = -V/h (no lead is flipped), and a -z-poled layer's
-  coupling changes sign.
-* Terminal charge per unit beam length q = -width * sum_k poling_k *
-  mean(D3_k), the mean taken over the layer thickness with D3 in the
-  frame of the record. This makes the capacitance block positive definite.
-* SectionConstitutive states the law its matrix stores.
+the blocked capacitances C_ND <= C_NSR <= C_NS. The sign conventions are
+README's Conventions.
 
 Under every closure S22 is linear in z within a layer, so each closure's
 matrix has a closed form: layer sums of material x moment products, and
@@ -36,17 +22,16 @@ layers, whose field per volt of their terminal is g = -poling/h. NS is ND on
 the columns Q11 - Q12^2/Q22, e31 - Q12*e32/Q22 and eps33 + e32^2/Q22; NSR is
 ND plus a rank-2 correction by the transverse field (a, b) of every unit
 state. A unit voltage drives only its own terminal's layers, so no array is
-larger than O(L + T) apart from the (2+T)^2 matrix. The N and M rows integrate
-T11 (actuation) and the q rows collect the mean D3 (sensing); neither is
-filled from the other. Sums are elementwise products reduced with
-np.add.reduce, never @, np.dot or einsum: a BLAS dot fuses multiply and add,
-which leaves one rounding error of a mirrored pair behind (the bimorph's B = 0
-came out as 2.2e-15 N m). Even so, mirrored layers cancel exactly only about
-exactly mirrored centres, as in the bimorph (interfaces -0.5, 0, 0.5 mm): the
-interfaces are summed from -H/2, so the sandwich's B (about 6e-13 N m) and NSR
-gm (1.05e-18 N/V) are round-off, not zero. The moments int 1, z, z^2 of a
-layer of thickness h centered at zc are h, h*zc and h*zc^2 + h^3/12, which keep
-full precision for a thin layer far from the mid-plane.
+larger than O(L + T) apart from the (2+T)^2 matrix. Sums are elementwise
+products reduced with np.add.reduce, never @, np.dot or einsum: a BLAS dot
+fuses multiply and add, which leaves one rounding error of a mirrored pair
+behind (the bimorph's B = 0 came out as 2.2e-15 N m). Even so, mirrored
+layers cancel exactly only about exactly mirrored centres, as in the bimorph
+(interfaces -0.5, 0, 0.5 mm): the interfaces are summed from -H/2, so the
+sandwich's B (about 6e-13 N m) and NSR gm (1.05e-18 N/V) are round-off, not
+zero. The moments int 1, z, z^2 of a layer of thickness h centered at zc are
+h, h*zc and h*zc^2 + h^3/12, which keep full precision for a thin layer far
+from the mid-plane.
 """
 
 from __future__ import annotations
@@ -90,7 +75,7 @@ _CLOSURES = {c.value: c for c in Closure}
 
 
 def _check_length(h, what: str, error) -> None:
-    """Raise error unless h is a number (materials._is_real) between 1e-30 and 1e30 m.
+    """Raise error unless h is a number (see _is_real) between 1e-30 and 1e30 m.
 
     Beyond these bounds the field 1/h, the moment h^3 or the width-scaled
     matrix entries of a physical material can leave the double range.
@@ -102,11 +87,8 @@ def _check_length(h, what: str, error) -> None:
 def _check_layer(material, thickness, poling, flag) -> None:
     """Raise LayupError, naming the first fault, unless the four fields make a valid layer.
 
-    material is a PlaneMaterial and flag, whether the layer is electroded, a
-    bool or np.bool_. poling is the count +1/-1 for the orientation of the
-    poling axis along +z, or 0 for a layer with no poling direction. A
-    poling of 0 requires a material with zero piezoelectric coupling; an
-    electroded layer must be poled (any dielectric qualifies, coupled or not).
+    The fields are one row of Section's columns (README, Library); the layer
+    rules are docs/formats.md's, under Validation.
     """
     if not (isinstance(material, PlaneMaterial) and type(flag) in _BOOL):
         raise LayupError(f"a layer needs a PlaneMaterial and a bool electroded flag, "
@@ -124,14 +106,10 @@ def _check_layer(material, thickness, poling, flag) -> None:
 class Section(_Record):
     """A stack of layers, bottom to top, as four columns, with width and electrode wiring.
 
-    The columns are plane materials, thicknesses in m, polings and electroded
-    flags. The constructor checks the layers in order and names the first
-    faulty one (see _check_layer), then builds the whole section: it stores
-    the thicknesses and the width as Python floats, the total thickness, the
-    interfaces, the terminals and the table the reductions read. wiring
-    'parallel' joins all electroded layers into one terminal pair;
-    'independent' gives every electroded layer its own terminal (ordered
-    bottom to top).
+    README's Library section gives the parameters, and docs/formats.md the
+    wiring of a layup. The constructor checks the layers in order
+    (_check_layer), then builds the whole section: the total thickness, the
+    interfaces, the terminals and the table the reductions read.
     """
 
     def __init__(self, materials, thicknesses, polings, electroded, width: float,
@@ -170,9 +148,7 @@ class Section(_Record):
 class GeneralizedState(_Record):
     """Kinematic state of the 1D model: S11(z) = eps + z*kappa plus voltages.
 
-    eps, kappa and each item of the iterable voltages must be a finite number
-    (materials._is_real); eps and kappa are stored as floats and the voltages
-    as a tuple of floats.
+    eps, kappa and each item of the iterable voltages is a number (see _is_real).
     """
 
     def __init__(self, eps: float = 0.0, kappa: float = 0.0, voltages=()):
@@ -186,18 +162,10 @@ class GeneralizedState(_Record):
 class SectionConstitutive(_Record):
     """Coupled section law of T terminals: a (2+T)x(2+T) matrix [[Kmm, Kme], [Kme^T, Cq]].
 
-    With x = (eps, kappa) and V = (V_0, ..., V_{T-1}) the law is
-
-        (N, M) = Kmm x + Kme V,    q = -Kme^T x + Cq V.
-
-    The stored matrix is the Hessian of the electric enthalpy over (x, V)
-    with its -Cq block negated; its symmetry is the reciprocity statement,
-    and it is stored exactly as assembled, without symmetrization. It must
-    be finite, and Kmm and Cq positive definite: each block's symmetric part
-    must have a Cholesky factor, which an exactly diagonal block (Cq under ND
-    and NS) has when its diagonal is positive. Each entry must first be a
-    number (materials._as_matrix), because a NaN or infinite block factors
-    without an error, and then the shape is checked. Every fault raises
+    It stores the law of README's Conventions. Its symmetry is the
+    reciprocity statement, so it is stored exactly as assembled, without
+    symmetrization. Each entry must be a number (see _is_real), and Kmm and
+    Cq positive definite (see _is_positive_definite); every fault raises
     LayupError.
     """
 
@@ -252,13 +220,7 @@ class SectionConstitutive(_Record):
 
 
 class StressProfile(NamedTuple):
-    """Layerwise-linear T11(z), T22(z) with sampled grid and T22 resultants.
-
-    t11_coefficients[k] and t22_coefficients[k] hold (constant, slope) of
-    layer k, stress in Pa evaluated at the global coordinate z. samples has
-    one row (layer, z, T11, T22) per grid point. n2 and m2 are the exact
-    transverse resultants per unit beam length, int T22 dz and int z T22 dz.
-    """
+    """Layerwise-linear T11(z), T22(z) with sampled grid and T22 resultants (README, Library)."""
 
     t11_coefficients: np.ndarray
     t22_coefficients: np.ndarray
@@ -279,9 +241,7 @@ class _LayerTable(NamedTuple):
     electrode rows -g*m0, -g*m1, poling and poling*zc, times e31 (or e32),
     give the T11 (or T22) of a unit voltage and the charge of a unit strain
     and curvature; slots sends row r to bin r*T + collect, so one bincount
-    scatters all four. k is the NSR stiffness sum Q22*(m0, m1; m1, m2). No
-    sum is a BLAS dot, whose fused multiply-add would leave round-off where
-    mirrored layers with mirrored centres cancel (see the module docstring).
+    scatters all four. k is the NSR stiffness sum Q22*(m0, m1; m1, m2).
     """
 
     q11: np.ndarray
@@ -354,11 +314,7 @@ def _nsr_field(t: _LayerTable, n_terminals: int) -> tuple:
 
 
 def nsr_transverse_field(section: Section) -> np.ndarray:
-    """The NSR strain S22(z) = a + b*z of every unit state, from one 2x2 solve.
-
-    Row j of the (2+T)x2 array is (a, b) for unit state j, in the order
-    eps, kappa, V_0, ..., V_{T-1}.
-    """
+    """The NSR strain S22 = a + b*z of every unit state (README, Library), from one 2x2 solve."""
     a, b, _, _ = _nsr_field(section._table, section.n_terminals)
     return np.column_stack((a, b))
 
@@ -523,22 +479,14 @@ _LAYER_FIELDS = {"material": (_STR, _REQUIRED), "thickness_mm": (_NUMBER, _REQUI
 
 
 def build_section(layup: dict, materials: dict | None = None) -> Section:
-    """Build a Section from a parsed layup description.
+    """Build a Section from a parsed layup description (docs/formats.md).
 
-    Expected keys: width_mm, wiring ('parallel', the default, or
-    'independent') and layers, a bottom-to-top list of {material,
-    thickness_mm, poling ('none' by default), electroded (false by
-    default)}. The layup is read by materials._read_fields and its layers
-    column by column by materials._read_by_column. An unknown key is rejected,
-    naming the nearest known key, and so is a missing required key; material,
-    poling and wiring must be strings, and the rest what Section takes: width_mm
-    and thickness_mm numbers (materials._is_real), electroded a bool. Material
-    names resolve against one mapping, the built-in records overlaid by the
-    optional materials mapping: an entry there shadows the built-in of its
-    name. Each distinct name and poling key is resolved once, and the
-    Section constructor checks every layer in order; if a layer cannot be
-    read or resolved, the layers are read one by one instead. Either way the
-    first faulty layer, bottom to top, is named.
+    The layup is read by materials._read_fields and its layers column by
+    column by materials._read_by_column. Each distinct material name is
+    resolved once, by README's rule (Library), and so is each poling key,
+    and the Section constructor checks every layer in order; if a layer
+    cannot be read or resolved, the layers are read one by one instead, so
+    either way the first faulty layer, bottom to top, is named.
     """
     width, wiring, entries = _read_fields(layup, _LAYUP_FIELDS, "layup", LayupError)
     if not entries:

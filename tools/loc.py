@@ -1,9 +1,10 @@
-"""Print the lines and code lines of each module of src/pzbeam, and their totals.
+"""Print the lines, code lines and docstring lines of each module of src/pzbeam, and totals.
 
-A code line is a non-blank line that holds a token other than a comment:
-docstrings (a string statement opening a module, class or function body)
-do not count, and the other lines of a multi-line string do. Standard
-library only; run as `python tools/loc.py` from any directory.
+A docstring is a string statement opening a module, class or function body;
+each of its lines is a doc line. A code line is a non-blank line that holds
+a token other than a comment and is not a doc line; the other lines of a
+multi-line string count. Standard library only; run as `python tools/loc.py`
+from any directory.
 """
 
 import ast
@@ -27,24 +28,25 @@ def _docstring_lines(tree) -> set:
     return lines
 
 
-def code_lines(source: str) -> int:
+def counts(source: str) -> tuple:
+    """The lines, code lines and doc lines of source."""
     blank = {n for n, line in enumerate(source.splitlines(), 1) if not line.strip()}
+    docs = _docstring_lines(ast.parse(source))
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - blank - _docstring_lines(ast.parse(source)))
+    return len(source.splitlines()), len(lines - blank - docs), len(docs)
 
 
 def main() -> None:
-    total = [0, 0]
-    print(f"{'module':<16}{'lines':>7}{'code':>7}")
+    total = (0, 0, 0)
+    print(f"{'module':<16}{'lines':>7}{'code':>7}{'doc':>7}")
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text()
-        counts = (len(source.splitlines()), code_lines(source))
-        total = [a + b for a, b in zip(total, counts)]
-        print(f"{path.name:<16}{counts[0]:>7}{counts[1]:>7}")
-    print(f"{'total':<16}{total[0]:>7}{total[1]:>7}")
+        row = counts(path.read_text())
+        total = tuple(map(sum, zip(total, row)))
+        print(f"{path.name:<16}" + "".join(f"{n:>7}" for n in row))
+    print(f"{'total':<16}" + "".join(f"{n:>7}" for n in total))
 
 
 if __name__ == "__main__":
