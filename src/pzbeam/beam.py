@@ -18,6 +18,7 @@ from .section import GeneralizedState, Section, SectionConstitutive, _bending_st
     _check_length, reduce_section
 
 BOUNDARIES = ("cantilever", "simply-supported")
+CIRCUITS = ("short", "open")
 
 
 class BeamError(ValueError):
@@ -105,7 +106,7 @@ def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
     """
     if not _is_count(n_modes, 1):
         raise BeamError(f"mode count must be an integer of at least 1, got {n_modes!r}")
-    if circuit not in ("short", "open"):
+    if circuit not in CIRCUITS:
         raise BeamError(f"unknown circuit {circuit!r}, expected 'short' or 'open'")
     d_eff = _bending_stiffness(beam.constitutive, circuit)
     lams = _boundary_eigenvalues(beam.boundary, n_modes)

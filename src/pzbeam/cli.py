@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beam import BOUNDARIES, BeamError, coupling_factor, free_actuation_state, make_beam, \
-    modal_frequencies
+from .beam import BOUNDARIES, CIRCUITS, BeamError, coupling_factor, free_actuation_state, \
+    make_beam, modal_frequencies
 from .materials import _HUGE, _TINY, MaterialError, _is_real, load_material_db
 from .section import Closure, GeneralizedState, LayupError, capacitance_per_length, \
     compare_closures, load_layup, recover_stress_profile, reduce_section
@@ -70,52 +70,54 @@ def parse_args(argv=None) -> argparse.Namespace:
         description="Coupled 1D constitutive models of laminated piezoelectric beams.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, closure=True):
+    def command(name, help, handler, closure=True):
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--layup", required=True, dest="layup_path",
                        help="layup JSON file (bottom-to-top layer list)")
         p.add_argument("--materials", dest="material_db_path",
                        help="optional material database JSON file")
-        p.add_argument("--output", choices=("table", "json", "csv"), default="table")
+        p.add_argument("--output", choices=_RENDERERS, default="table")
         if closure:
             p.add_argument("--model", dest="closure", choices=[c.value for c in Closure],
                            default="nsr", help="transverse closure model")
         return p
 
-    def voltages(p):
-        p.add_argument("--voltage", type=_quantity(_VOLTAGE_UNITS, "voltage"), action="append",
-                       default=[], dest="voltages", help="terminal voltage, repeat per "
-                       "terminal; write a negative one as --voltage=-50V")
+    def signed(p, flag, help, example, **kwargs):    # argparse takes "-1e-4" for an option
+        p.add_argument(flag, help=f"{help}; write a negative one as {flag}=-{example}", **kwargs)
 
-    def beam(name, help):
-        p = command(name, help)
+    def voltages(p):
+        signed(p, "--voltage", "terminal voltage, repeat per terminal", "50V",
+               type=_quantity(_VOLTAGE_UNITS, "voltage"), action="append", default=[],
+               dest="voltages")
+
+    def beam(name, help, handler):
+        p = command(name, help, handler)
         p.add_argument("--length", type=_quantity(_LENGTH_UNITS, "length"), default=0.1,
                        help="beam length (e.g. 100mm)")
         p.add_argument("--bc", dest="boundary", choices=BOUNDARIES, default="cantilever")
         return p
 
-    command("reduce", "assemble the coupled constitutive matrix")
-    p = command("compare", "compare the three closures on one layup", closure=False)
+    command("reduce", "assemble the coupled constitutive matrix", _reduce)
+    p = command("compare", "compare the three closures on one layup", _compare, closure=False)
     p.add_argument("--reference-capacitance",
                    type=_quantity(_CAP_PER_LENGTH_UNITS, "capacitance per unit length",
                                   positive=True),
                    help="measured capacitance per unit length for the deviation row "
                         "(e.g. 2.86nF/mm)")
-    p = command("stress", "recover the layerwise-linear stress profile")
-    p.add_argument("--eps", type=_quantity({}, "strain"), default=0.0,
-                   help="axial mid-plane strain")
-    p.add_argument("--kappa", type=_quantity({}, "curvature"), default=0.0,
-                   help="curvature, 1/m")
+    p = command("stress", "recover the layerwise-linear stress profile", _stress)
+    signed(p, "--eps", "axial mid-plane strain", "1e-4", type=_quantity({}, "strain"), default=0.0)
+    signed(p, "--kappa", "curvature, 1/m", "1e-2", type=_quantity({}, "curvature"), default=0.0)
     voltages(p)
     p.add_argument("--points", type=int, default=11, dest="samples_per_layer",
                    help="sample points per layer, at least 2")
-    p = command("capacitance", "terminal capacitance per unit length")
+    p = command("capacitance", "terminal capacitance per unit length", _capacitance)
     p.add_argument("--condition", choices=("blocked", "free"), default="blocked")
     p.add_argument("--terminal", type=int, default=0)
-    voltages(beam("beam-static", "free actuation response of a beam"))
-    p = beam("beam-modal", "bending natural frequencies")
+    voltages(beam("beam-static", "free actuation response of a beam", _beam_static))
+    p = beam("beam-modal", "bending natural frequencies", _beam_modal)
     p.add_argument("--modes", type=int, default=4)
-    p.add_argument("--circuit", choices=("short", "open"), default="short")
+    p.add_argument("--circuit", choices=CIRCUITS, default="short")
     return parser.parse_args(argv)
 
 
@@ -128,8 +130,8 @@ class Report(NamedTuple):
     rows start with the header row, if the report has one; a float cell
     prints through _fmt, any other cell as str(). The table prints
     rows, then footer; CSV prints csv_rows, which default to rows and differ
-    where CSV wants other labels; JSON prints schema_version, command and
-    then payload.
+    where CSV wants other labels; JSON prints schema_version, command, the
+    settings of _ECHOED that the command takes, then payload.
     """
 
     rows: list
@@ -147,14 +149,14 @@ def _fmt(cell, spec: str = ".6g") -> str:
     return format(cell, spec)
 
 
-def _render_table(command: str, report: Report) -> str:
+def _render_table(args, report: Report) -> str:
     cells = [[_fmt(c) for c in row] for row in report.rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     return "\n".join(lines) + "\n" + report.footer
 
 
-def _render_csv(command: str, report: Report) -> str:
+def _render_csv(args, report: Report) -> str:
     """RFC 4180: a cell holding a comma or a quote is quoted, its quotes doubled."""
     import csv  # here, on the CSV path: at module level it slows every CLI start
 
@@ -164,12 +166,19 @@ def _render_csv(command: str, report: Report) -> str:
     return out.getvalue()
 
 
-def _render_json(command: str, report: Report) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, **report.payload}
+# the settings a JSON report echoes after its command, in this order: (argparse dest, JSON key)
+_ECHOED = (("closure", "closure"), ("length", "length_m"), ("boundary", "boundary"),
+           ("circuit", "circuit"), ("condition", "condition"), ("terminal", "terminal"))
+
+
+def _render_json(args, report: Report) -> str:
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
+           **{key: getattr(args, dest) for dest, key in _ECHOED if hasattr(args, dest)},
+           **report.payload}
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-_RENDERERS = {"table": _render_table, "csv": _render_csv, "json": _render_json}
+_RENDERERS = {"table": _render_table, "json": _render_json, "csv": _render_csv}
 
 
 def _reduce(section, args) -> Report:
@@ -184,7 +193,6 @@ def _reduce(section, args) -> Report:
         rows.append((f"gk[{t}] [N m/V]", k.gk[t]))
         rows.append((f"Cq[{t},{t}] [nF/mm]", _fmt(k.cq[t, t] * 1e6, ".4f")))
     return Report(rows, {
-        "closure": args.closure,
         "width_m": section.width,
         "n_terminals": k.n_terminals,
         "matrix_rows_N_M_q_cols_eps_kappa_V": k.matrix.tolist(),
@@ -243,7 +251,6 @@ def _stress(section, args) -> Report:
         csv_rows=[("layer", "z_m", "T11_Pa", "T22_Pa")] + rows,
         footer=f"N2 [N/m]  {_fmt(profile.n2)}\nM2 [N]    {_fmt(profile.m2)}\n",
         payload={
-            "closure": args.closure,
             "state": {"eps": state.eps, "kappa_per_m": state.kappa,
                       "voltages_V": list(state.voltages)},
             "t11_coefficients_Pa_Pa_per_m": profile.t11_coefficients.tolist(),
@@ -261,9 +268,6 @@ def _capacitance(section, args) -> Report:
         [(f"{args.condition} capacitance, terminal {args.terminal} [nF/mm]", cell)],
         csv_rows=[(f"{args.condition}_capacitance_terminal_{args.terminal}_nF_per_mm", cell)],
         payload={
-            "closure": args.closure,
-            "condition": args.condition,
-            "terminal": args.terminal,
             "capacitance_F_per_m": value,
             "display": {"capacitance_nF_per_mm": value * 1e6},
         })
@@ -279,9 +283,6 @@ def _beam_static(section, args) -> Report:
         tip = state.kappa * beam.length ** 2 / 2.0    # as cantilever_tip_deflection, one solve
         rows.append(("tip deflection [m]", tip))
     return Report(rows, csv_rows=[(a.replace(" ", "_"), b) for a, b in rows], payload={
-        "closure": args.closure,
-        "length_m": beam.length,
-        "boundary": beam.boundary,
         "voltages_V": list(voltages),
         "eps": state.eps,
         "kappa_per_m": state.kappa,
@@ -298,18 +299,9 @@ def _beam_modal(section, args) -> Report:
         [("mode", f"f ({args.circuit}) [Hz]", "k^2")] + rows,
         csv_rows=[("mode", "frequency_Hz", "k2")] + rows,
         payload={
-            "closure": args.closure,
-            "length_m": beam.length,
-            "boundary": beam.boundary,
-            "circuit": args.circuit,
             "frequencies_Hz": freqs.tolist(),
             "coupling_factor_k2": k2,
         })
-
-
-_COMMANDS = {"reduce": _reduce, "compare": _compare, "stress": _stress,
-             "capacitance": _capacitance, "beam-static": _beam_static,
-             "beam-modal": _beam_modal}
 
 
 def _write_stdout(text: str) -> None:
@@ -337,8 +329,8 @@ def _write_stdout(text: str) -> None:
 def run(args: argparse.Namespace) -> int:
     with np.errstate(over="raise", invalid="raise"):    # underflow to 0 is fine
         section = load_layup(args.layup_path, material_db=load_material_db(args.material_db_path))
-        report = _COMMANDS[args.command](section, args)
-    text = _RENDERERS[args.output](args.command, report)
+        report = args.handler(section, args)
+    text = _RENDERERS[args.output](args, report)
     try:    # reported here: main() takes any other OSError for an unreadable input
         _write_stdout(text)
     except (AttributeError, OSError) as exc:    # stdout None (closed), a full disk, a broken pipe

@@ -231,7 +231,7 @@ class Material3D(_Record):
 
     @cached_property
     def plane(self) -> PlaneMaterial:
-        """The thickness-condensed record, computed on first use."""
+        """The thickness-condensed record."""
         return condense_to_plane(self)
 
 
@@ -247,7 +247,7 @@ class MaterialDForm(_Record):
 
     @cached_property
     def plane(self) -> PlaneMaterial:
-        """The e-form record condensed to the plane, computed on first use."""
+        """The e-form record condensed to the plane."""
         return condense_to_plane(convert_d_to_e(self))
 
 

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pzbeam.cli
-from pzbeam import load_layup, reduce_section
+from pzbeam import BeamError, load_layup, make_beam, modal_frequencies, reduce_section
+from pzbeam.beam import CIRCUITS
 from pzbeam.cli import main, parse_args
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -75,6 +76,28 @@ class TestParseArgs:
         code, out, err = run_cli(capsys, "stress", "--layup", SANDWICH, "--voltage", "-50V")
         assert code == 2 and not out
         assert "expected one argument" in err
+
+    def test_signed_flags_say_how_to_write_a_negative_value(self, capsys):
+        code, out, _ = run_cli(capsys, "stress", "--help")
+        assert code == 0
+        assert "--eps=-" in out and "--kappa=-" in out and "--voltage=-" in out
+        cfg = parse_args(["stress", "--layup", "x", "--eps=-1e-4", "--kappa=-1e-2"])
+        assert (cfg.eps, cfg.kappa) == (-1e-4, -1e-2)
+
+    def test_circuit_choices_are_the_library_circuits(self, capsys, sandwich):
+        code, out, _ = run_cli(capsys, "beam-modal", "--help")
+        assert code == 0
+        assert f"--circuit {{{','.join(CIRCUITS)}}}" in out
+        beam = make_beam(sandwich, "nsr", 0.1)
+        for circuit in CIRCUITS:
+            assert parse_args(["beam-modal", "--layup", "x", "--circuit", circuit]).circuit \
+                == circuit
+            assert modal_frequencies(beam, circuit, 2).shape == (2,)
+        with pytest.raises(BeamError) as exc:
+            modal_frequencies(beam, "closed", 2)
+        assert str(exc.value) == "unknown circuit 'closed', expected 'short' or 'open'"
+        code, _, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--circuit", "closed")
+        assert code == 2 and "invalid choice: 'closed'" in err
 
 
 class TestExitCodes:
@@ -444,6 +467,30 @@ class TestReportShape:
             assert len(widths) == 1
             if command in ("reduce", "capacitance", "beam-static"):
                 assert widths == {2}
+
+    # each command's echoed settings in the report head: (argv, [(JSON key, value)])
+    @pytest.mark.parametrize("command, argv, echoed", [
+        ("reduce", ["--model", "nd"], [("closure", "nd")]),
+        ("compare", [], []),
+        ("stress", ["--model", "ns"], [("closure", "ns")]),
+        ("capacitance", ["--model", "nd", "--condition", "free", "--terminal", "0"],
+         [("closure", "nd"), ("condition", "free"), ("terminal", 0)]),
+        ("beam-static", ["--length", "60mm", "--bc", "simply-supported"],
+         [("closure", "nsr"), ("length_m", 0.06), ("boundary", "simply-supported")]),
+        ("beam-modal", ["--model", "ns", "--length", "60mm", "--circuit", "open"],
+         [("closure", "ns"), ("length_m", 0.06), ("boundary", "cantilever"),
+          ("circuit", "open")]),
+    ])
+    def test_json_head_echoes_the_settings_in_order(self, capsys, command, argv, echoed):
+        code, out, _ = run_cli(capsys, command, "--layup", SANDWICH, "--output", "json", *argv)
+        assert code == 0
+        doc = strict_json(out)
+        head = list(doc.items())[:2 + len(echoed)]
+        assert head == [("schema_version", 1), ("command", command), *echoed]
+        settings_keys = {"closure", "length_m", "boundary", "circuit", "condition", "terminal"}
+        assert not settings_keys & set(list(doc)[2 + len(echoed):])
+        if command.startswith("beam"):
+            assert '"length_m": 0.06,' in out
 
     def test_beam_modal_without_terminals_prints_zero_k2(self, capsys, tmp_path):
         layup = tmp_path / "al.json"
