@@ -107,7 +107,7 @@ def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
     if not _is_count(n_modes, 1):
         raise BeamError(f"mode count must be an integer of at least 1, got {n_modes!r}")
     if circuit not in CIRCUITS:
-        raise BeamError(f"unknown circuit {circuit!r}, expected 'short' or 'open'")
+        raise BeamError(f"unknown circuit {circuit!r}, expected {' or '.join(map(repr, CIRCUITS))}")
     d_eff = _bending_stiffness(beam.constitutive, circuit)
     lams = _boundary_eigenvalues(beam.boundary, n_modes)
     return lams ** 2 / (2.0 * np.pi) * np.sqrt(d_eff / (beam.mass_per_length * beam.length ** 4))

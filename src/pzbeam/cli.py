@@ -34,8 +34,8 @@ import numpy as np
 from .beam import BOUNDARIES, CIRCUITS, BeamError, coupling_factor, free_actuation_state, \
     make_beam, modal_frequencies
 from .materials import _HUGE, _TINY, MaterialError, _is_real, load_material_db
-from .section import Closure, GeneralizedState, LayupError, capacitance_per_length, \
-    compare_closures, load_layup, recover_stress_profile, reduce_section
+from .section import CONDITIONS, Closure, GeneralizedState, LayupError, \
+    capacitance_per_length, compare_closures, load_layup, recover_stress_profile, reduce_section
 
 SCHEMA_VERSION = 1
 
@@ -112,7 +112,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--points", type=int, default=11, dest="samples_per_layer",
                    help="sample points per layer, at least 2")
     p = command("capacitance", "terminal capacitance per unit length", _capacitance)
-    p.add_argument("--condition", choices=("blocked", "free"), default="blocked")
+    p.add_argument("--condition", choices=CONDITIONS, default="blocked")
     p.add_argument("--terminal", type=int, default=0)
     voltages(beam("beam-static", "free actuation response of a beam", _beam_static))
     p = beam("beam-modal", "bending natural frequencies", _beam_modal)

@@ -202,7 +202,7 @@ def _is_positive_definite(m) -> bool:
 def _check_spd(m, what):
     """Reject a finite matrix that is not symmetric (to 1e-8) or not positive definite."""
     scale = np.max(np.abs(m))
-    if scale > 0 and np.max(np.abs(m - m.T)) > 1e-8 * scale:
+    if scale > 0 and np.max(np.abs(0.5 * m - 0.5 * m.T)) > 0.5e-8 * scale:
         raise MaterialError(f"{what} is not symmetric")
     if not _is_positive_definite(m):
         raise MaterialError(f"{what} is not positive definite")
@@ -412,6 +412,14 @@ _FORMS = {form: (record_type, {"name": (_STR, _REQUIRED), "form": (_STR, _REQUIR
               ("d", MaterialDForm, ("sE_per_Pa", "d_m_per_V", "epsT_F_per_m")))}
 
 
+def _parse_json(text, error, malformed):
+    """The document in text; invalid or too deeply nested JSON raises error(malformed + reason)."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{malformed}{exc}") from exc
+
+
 def _record_from_json(entry, prefix):
     if not isinstance(entry, dict):
         raise MaterialError(f"{prefix}record must be a JSON object, got {entry!r}")
@@ -441,10 +449,7 @@ def load_material_db(path=None) -> dict:
     if not text.strip():
         return records
     malformed = f"malformed database {path}: "
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MaterialError(f"{malformed}{exc}") from exc
+    doc = _parse_json(text, MaterialError, malformed)
     entries, = _read_fields(doc, {"materials": (_LIST, _REQUIRED)}, "database", MaterialError,
                             malformed)
     seen = set()

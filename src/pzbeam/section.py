@@ -36,7 +36,6 @@ from the mid-plane.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from itertools import accumulate, chain, compress, count, repeat
 from operator import attrgetter, mul
@@ -46,8 +45,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, PlaneMaterial, \
-    _as_matrix, _is_count, _is_positive_definite, _is_real, _read_by_column, _read_fields, \
-    _Record, as_plane, builtin_materials
+    _as_matrix, _is_count, _is_positive_definite, _is_real, _parse_json, _read_by_column, \
+    _read_fields, _Record, as_plane, builtin_materials
 
 
 class LayupError(ValueError):
@@ -363,6 +362,9 @@ def reduce_section(section: Section, closure) -> SectionConstitutive:
     return SectionConstitutive(k)
 
 
+CONDITIONS = ("blocked", "free")
+
+
 def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
                            terminal: int = 0) -> float:
     """Terminal capacitance per unit beam length, F/m, of terminal (a count from 0 to T-1).
@@ -374,13 +376,12 @@ def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
     if not _is_count(terminal, 0, constitutive.n_terminals - 1):
         raise LayupError(f"terminal {terminal!r} out of range "
                          f"(section has {constitutive.n_terminals})")
-    blocked = constitutive.cq[terminal, terminal]
-    if condition == "blocked":
-        return float(blocked)
+    if condition not in CONDITIONS:
+        raise LayupError(f"unknown capacitance condition {condition!r}")
+    capacitance, g = constitutive.cq[terminal, terminal], constitutive.kme[:, terminal]
     if condition == "free":
-        g = constitutive.kme[:, terminal]
-        return float(blocked + g @ np.linalg.solve(constitutive.kmm, g))
-    raise LayupError(f"unknown capacitance condition {condition!r}")
+        capacitance = capacitance + g @ np.linalg.solve(constitutive.kmm, g)
+    return float(capacitance)
 
 
 def _bending_stiffness(k: SectionConstitutive, circuit: str) -> float:
@@ -515,8 +516,5 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
 
 def load_layup(path, material_db=None) -> Section:
     """Parse a layup JSON file, resolving materials against an optional database."""
-    try:
-        layup = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise LayupError(f"malformed layup file {path}: {exc}") from exc
+    layup = _parse_json(Path(path).read_text(), LayupError, f"malformed layup file {path}: ")
     return build_section(layup, materials=material_db)

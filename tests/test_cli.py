@@ -16,8 +16,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pzbeam.cli
-from pzbeam import BeamError, load_layup, make_beam, modal_frequencies, reduce_section
+from pzbeam import BeamError, LayupError, capacitance_per_length, load_layup, make_beam, \
+    modal_frequencies, reduce_section
 from pzbeam.beam import CIRCUITS
+from pzbeam.section import CONDITIONS
 from pzbeam.cli import main, parse_args
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -98,6 +100,23 @@ class TestParseArgs:
         assert str(exc.value) == "unknown circuit 'closed', expected 'short' or 'open'"
         code, _, err = run_cli(capsys, "beam-modal", "--layup", SANDWICH, "--circuit", "closed")
         assert code == 2 and "invalid choice: 'closed'" in err
+
+    def test_condition_choices_are_the_library_conditions(self, capsys, sandwich):
+        code, out, _ = run_cli(capsys, "capacitance", "--help")
+        assert code == 0
+        assert f"--condition {{{','.join(CONDITIONS)}}}" in out
+        k = reduce_section(sandwich, "nsr")
+        for condition in CONDITIONS:
+            assert parse_args(["capacitance", "--layup", "x", "--condition", condition]) \
+                .condition == condition
+            assert capacitance_per_length(k, condition) > 0.0
+        with pytest.raises(LayupError) as exc:
+            capacitance_per_length(k, "open")
+        assert type(exc.value) is LayupError
+        assert str(exc.value) == "unknown capacitance condition 'open'"
+        # the terminal is checked before the condition
+        with pytest.raises(LayupError, match="^terminal 5 out of range"):
+            capacitance_per_length(k, "open", 5)
 
 
 class TestExitCodes:
@@ -276,6 +295,18 @@ class TestExitCodes:
                                  "--materials", str(path))
         assert code == 2 and not out
         assert "input error" in err and "cE" in err
+
+    def test_huge_antisymmetric_stiffness_is_input_error(self, capsys, tmp_path):
+        # cE[0, 1] - cE[1, 0] would overflow: still "not symmetric", not a computation error
+        shipped = json.loads((DOCS / "materials.json").read_text())["materials"]
+        al = dict(next(m for m in shipped if m["name"] == "Al-6061"), name="X")
+        al["cE_Pa"][0][1], al["cE_Pa"][1][0] = 1.7e308, -1.7e308
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [al]}))
+        code, out, err = run_cli(capsys, "reduce", "--layup", SANDWICH,
+                                 "--materials", str(path))
+        assert (code, out) == (2, "")
+        assert err == "pzbeam: input error: X: cE is not symmetric\n"
 
     @pytest.mark.parametrize("argv, what", [
         (("stress", "--eps", "nan"), "strain"), (("stress", "--kappa=inf"), "curvature"),

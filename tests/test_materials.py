@@ -1,10 +1,14 @@
 """Material record validation, d/e conversion and plane condensation."""
 
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from pzbeam import (
     EPS0,
+    LayupError,
     Material3D,
     MaterialDForm,
     MaterialError,
@@ -14,6 +18,7 @@ from pzbeam import (
     condense_to_plane,
     convert_d_to_e,
     isotropic_elastic,
+    load_layup,
     load_material_db,
 )
 from pzbeam.materials import _is_positive_definite
@@ -306,6 +311,16 @@ class TestMaterialDb:
         with pytest.raises(MaterialError, match="^x: cE is not symmetric$"):
             load_material_db(path)
 
+    def test_huge_antisymmetric_pair_is_not_symmetric(self):
+        # cE[0, 1] - cE[1, 0] overflows a double: the halves are compared, with no warning
+        entry = self._al_entry()
+        entry["cE_Pa"][0][1], entry["cE_Pa"][1][0] = 1.7e308, -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MaterialError, match="^x: cE is not symmetric$"):
+                Material3D("x", entry["cE_Pa"], entry["e_C_per_m2"], entry["epsS_F_per_m"],
+                           entry["density_kg_m3"])
+
     @staticmethod
     def _al_entry(**changes):
         al = builtin_materials()["Al-6061"]
@@ -508,3 +523,27 @@ def test_json_object_rejections_share_one_wording(tmp_path, table, key, value, m
     prefix = "malformed database .*: " if table == "database" else "invalid material x: "
     with pytest.raises(MaterialError, match=f"^{prefix}{message}$"):
         load_material_db(path)
+
+
+
+@pytest.mark.parametrize("loader, error, prefix", [
+    (load_layup, LayupError, "malformed layup file {}: "),
+    (load_material_db, MaterialError, "malformed database {}: ")])
+@pytest.mark.parametrize("text, cause", [("{", json.JSONDecodeError),
+                                         ("[" * 100000 + "]" * 100000, RecursionError)],
+                         ids=["truncated", "deeply-nested"])
+def test_malformed_json_file_is_one_rule(tmp_path, loader, error, prefix, text, cause):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(error) as exc:
+        loader(path)
+    assert type(exc.value) is error and str(exc.value).startswith(prefix.format(path))
+    assert type(exc.value.__cause__) is cause
+
+
+def test_blank_file_is_no_records_but_a_malformed_layup(tmp_path):
+    path = tmp_path / "blank.json"
+    path.write_text(" \n")
+    assert set(load_material_db(path)) == set(builtin_materials())
+    with pytest.raises(LayupError, match="^malformed layup file .*: Expecting value"):
+        load_layup(path)

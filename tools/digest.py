@@ -13,8 +13,9 @@ Categories:
   the NSR stress profile of a seeded state, each section built with no
   mapping, with builtin_materials() and with load_material_db().
 * cli: pzbeam.cli.main in process for every subcommand, output format and
-  shipped layup, with and without --materials docs/materials.json. The exit
-  code, stdout and stderr.
+  shipped layup, with and without --materials docs/materials.json, and for
+  every value of --model, --bc, --circuit and --condition. The exit code,
+  stdout and stderr.
 * faults: seeded layups over the built-in names with one planted read, name,
   poling, rule or width fault. The exception's type and message, or the ND
   matrix when the planted value happens to be valid.
@@ -55,10 +56,16 @@ SEED = 25
 STACKS = 400
 FAULTS = 2000
 LAYUPS = ("sandwich", "unimorph", "bimorph")
-SUBCOMMANDS = {"reduce": [], "compare": ["--reference-capacitance", "2.86nF/mm"],
-               "stress": ["--eps", "1e-4", "--kappa", "0.2", "--voltage", "50V"],
-               "capacitance": ["--condition", "free"], "beam-static": ["--voltage", "100V"],
-               "beam-modal": ["--modes", "3"]}
+# (subcommand, its arguments): every value of --model, --bc, --circuit and --condition runs
+COMMANDS = [("reduce", []), ("reduce", ["--model", "nd"]), ("reduce", ["--model", "ns"]),
+            ("compare", ["--reference-capacitance", "2.86nF/mm"]),
+            ("stress", ["--eps", "1e-4", "--kappa", "0.2", "--voltage", "50V"]),
+            ("capacitance", ["--condition", "free"]),
+            ("capacitance", ["--condition", "blocked", "--model", "ns"]),
+            ("beam-static", ["--voltage", "100V"]),
+            ("beam-static", ["--voltage", "100V", "--bc", "simply-supported"]),
+            ("beam-modal", ["--modes", "3"]),
+            ("beam-modal", ["--modes", "3", "--circuit", "open", "--bc", "simply-supported"])]
 FORMATS = ("table", "json", "csv")
 
 
@@ -95,7 +102,7 @@ def stacks(sha):
 
 def cli(sha):
     for name in LAYUPS:
-        for command, extra in SUBCOMMANDS.items():
+        for command, extra in COMMANDS:
             for output in FORMATS:
                 for db in ([], ["--materials", "docs/materials.json"]):
                     argv = [command, "--layup", f"docs/{name}.json", "--output", output,
