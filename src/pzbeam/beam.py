@@ -40,10 +40,10 @@ class Beam(_Record):
         if not _is_real(mass_per_length, _TINY):
             raise BeamError(f"mass per length must be positive and finite, got {mass_per_length!r}")
         _check_length(length, "length", BeamError)
-        if boundary not in BOUNDARIES:
+        if not (isinstance(boundary, str) and boundary in BOUNDARIES):
             raise BeamError(f"unknown boundary {boundary!r}, expected one of {BOUNDARIES}")
         vars(self).update(constitutive=constitutive, mass_per_length=float(mass_per_length),
-                          length=float(length), boundary=boundary)
+                          length=float(length), boundary=str.__str__(boundary))
 
 
 def make_beam(section: Section, closure, length: float, boundary: str = "cantilever") -> Beam:
@@ -106,7 +106,7 @@ def modal_frequencies(beam: Beam, circuit: str, n_modes: int) -> np.ndarray:
     """
     if not _is_count(n_modes, 1):
         raise BeamError(f"mode count must be an integer of at least 1, got {n_modes!r}")
-    if circuit not in CIRCUITS:
+    if not (isinstance(circuit, str) and circuit in CIRCUITS):
         raise BeamError(f"unknown circuit {circuit!r}, expected {' or '.join(map(repr, CIRCUITS))}")
     d_eff = _bending_stiffness(beam.constitutive, circuit)
     lams = _boundary_eigenvalues(beam.boundary, n_modes)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cache, cached_property
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 
@@ -54,8 +54,7 @@ class _Record:
     """Base of the package's immutable records.
 
     A record's fields are its __init__ parameters, in order; __init__ checks
-    and stores them, after which no attribute can be set or deleted
-    (functools.cached_property still works: it writes the instance __dict__).
+    and stores them, after which no attribute can be set or deleted.
     Records compare and hash by the tuple of their fields, within one class.
     """
 
@@ -223,32 +222,26 @@ class Material3D(_Record):
     """Full 3D constants in e-form (stiffness / stress-constant / clamped).
 
     cE: 6x6 at constant field, Pa; e: 3x6, C/m^2; epsS: 3x3 at constant
-    strain, F/m; density: kg/m^3.
+    strain, F/m; density: kg/m^3. plane, built with the record, is its
+    condense_to_plane.
     """
 
     def __init__(self, name: str, cE, e, epsS, density: float, provenance: str = ""):
         _init_3d(self, name, (cE, e, epsS), density, provenance)
-
-    @cached_property
-    def plane(self) -> PlaneMaterial:
-        """The thickness-condensed record."""
-        return condense_to_plane(self)
+        vars(self).update(plane=condense_to_plane(self))
 
 
 class MaterialDForm(_Record):
     """Full 3D constants in d-form (compliance / strain-constant / free).
 
     sE: 6x6 at constant field, 1/Pa; d: 3x6, m/V; epsT: 3x3 at constant
-    stress, F/m; density: kg/m^3.
+    stress, F/m; density: kg/m^3. plane, built with the record, is the
+    plane of its convert_d_to_e.
     """
 
     def __init__(self, name: str, sE, d, epsT, density: float, provenance: str = ""):
         _init_3d(self, name, (sE, d, epsT), density, provenance)
-
-    @cached_property
-    def plane(self) -> PlaneMaterial:
-        """The e-form record condensed to the plane."""
-        return condense_to_plane(convert_d_to_e(self))
+        vars(self).update(plane=convert_d_to_e(self).plane)
 
 
 class PlaneMaterial(_Record):
@@ -333,12 +326,7 @@ def condense_to_plane(m: Material3D) -> PlaneMaterial:
 
 
 def as_plane(record) -> PlaneMaterial:
-    """Condense any supported record type to a PlaneMaterial.
-
-    A Material3D or MaterialDForm record is frozen, so it is condensed (and a
-    d-form record converted) once, on first use, and every later call returns
-    the same PlaneMaterial.
-    """
+    """Condense any supported record type to a PlaneMaterial."""
     if isinstance(record, PlaneMaterial):
         return record
     if isinstance(record, (Material3D, MaterialDForm)):

@@ -62,9 +62,7 @@ class Closure(str, Enum):
 
     @classmethod
     def coerce(cls, value) -> "Closure":
-        if isinstance(value, cls):
-            return value
-        closure = _CLOSURES.get(str(value).lower())
+        closure = _CLOSURES.get(value.lower()) if isinstance(value, str) else None
         if closure is None:
             raise LayupError(f"unknown closure model {value!r} (expected nd, ns or nsr)")
         return closure
@@ -122,9 +120,10 @@ class Section(_Record):
         for layer in zip(*columns):
             _check_layer(*layer)
         _check_length(width, "width", LayupError)
-        if wiring not in ("parallel", "independent"):
+        if not (isinstance(wiring, str) and wiring in ("parallel", "independent")):
             raise LayupError(f"unknown wiring {wiring!r}")
-        h = tuple(map(float, h))
+        # str.__str__: a plain str, whatever __str__ a subclass (a str Enum) defines
+        h, wiring = tuple(map(float, h)), str.__str__(wiring)
         thickness, flagged = sum(h), tuple(compress(count(), electroded))
         # the layer indices of each terminal
         terminals = (tuple(zip(flagged)) if wiring == "independent"
@@ -376,7 +375,7 @@ def capacitance_per_length(constitutive: SectionConstitutive, condition: str,
     if not _is_count(terminal, 0, constitutive.n_terminals - 1):
         raise LayupError(f"terminal {terminal!r} out of range "
                          f"(section has {constitutive.n_terminals})")
-    if condition not in CONDITIONS:
+    if not (isinstance(condition, str) and condition in CONDITIONS):
         raise LayupError(f"unknown capacitance condition {condition!r}")
     capacitance, g = constitutive.cq[terminal, terminal], constitutive.kme[:, terminal]
     if condition == "free":

@@ -159,6 +159,23 @@ class TestExitCodes:
             assert err == ("pzbeam: input error: PZT-5H: inconsistent constants "
                            "(epsS not positive definite)\n")
 
+    @pytest.mark.parametrize("name, key, factor", [("PZT-BAD", "d_m_per_V", 1e200),
+                                                   ("PZT-LOW", "epsT_F_per_m", 1e-2)])
+    def test_unused_unusable_record_is_one_line_input_error(self, capsys, tmp_path, name, key,
+                                                             factor):
+        # the shipped file plus a copy of PZT-5H that no layer uses and that cannot be
+        # converted: the file is rejected as it loads
+        db = json.loads((DOCS / "materials.json").read_text())
+        pzt = dict(next(m for m in db["materials"] if m["form"] == "d"), name=name)
+        pzt[key] = [[v * factor for v in row] for row in pzt[key]]
+        db["materials"].append(pzt)
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(db))
+        code, out, err = run_cli(capsys, "compare", "--layup", SANDWICH, "--materials", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"pzbeam: input error: {name}: inconsistent constants "
+                       "(epsS not positive definite)\n")
+
     @pytest.mark.parametrize("model", ["nd", "nsr"])
     def test_overflowing_layer_table_is_one_line_computation_error(self, capsys, tmp_path,
                                                                    model):

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -455,6 +456,25 @@ class TestMaterialDb:
         path.write_text(json.dumps(doc))
         with pytest.raises(MaterialError):
             load_material_db(path)
+
+    @pytest.mark.parametrize("name, key, factor", [("PZT-BAD", "d_m_per_V", 1e200),
+                                                   ("PZT-LOW", "epsT_F_per_m", 1e-2)])
+    def test_unusable_record_rejected_when_loaded(self, tmp_path, name, key, factor):
+        # a copy of PZT-5H that cannot be converted: no layup uses it, yet the file is
+        # rejected as it loads, and so is the record built directly
+        doc = json.loads((Path(__file__).resolve().parent.parent / "docs" /
+                          "materials.json").read_text())
+        entry = dict(next(m for m in doc["materials"] if m["form"] == "d"), name=name)
+        entry[key] = (np.array(entry[key]) * factor).tolist()
+        doc["materials"].append(entry)
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps(doc))
+        message = f"^{name}: inconsistent constants \\(epsS not positive definite\\)$"
+        with pytest.raises(MaterialError, match=message):
+            load_material_db(path)
+        with pytest.raises(MaterialError, match=message):
+            MaterialDForm(name, entry["sE_per_Pa"], entry["d_m_per_V"], entry["epsT_F_per_m"],
+                          entry["density_kg_m3"])
 
     def test_shipped_example_file_loads(self):
         from pathlib import Path

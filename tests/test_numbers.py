@@ -3,12 +3,15 @@
 Every public entry point that takes a number, or a count, accepts only an
 int, a float or a numpy integer or floating scalar (a count: an int or numpy
 integer), never a bool, a string, a complex or an array, and raises its own
-typed error naming the value otherwise. The suite turns warnings into
-errors, so every case here also shows that no warning is printed.
+typed error naming the value otherwise. A choice argument (a closure,
+wiring, boundary, circuit or capacitance condition) is a str naming one of
+its choices, so no array is compared elementwise. The suite turns warnings
+into errors, so every case here also shows that no warning is printed.
 """
 
 import math
 import re
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from pzbeam import (
     Beam,
     BeamError,
+    Closure,
     GeneralizedState,
     LayupError,
     Material3D,
@@ -324,3 +328,52 @@ def test_each_number_type_gives_the_bits_of_the_same_floats(number):
         return [a.tobytes() for a in arrays], [(type(x), x) for x in numbers]
 
     assert outputs(number) == outputs(lambda v: float(number(v)))
+
+
+# (entry point and argument, a valid choice, call with the value, error, message head)
+CHOICES = [
+    ("reduce_section closure", "nd", lambda v: reduce_section(SANDWICH, v), LayupError,
+     "unknown closure model "),
+    ("Section wiring", "independent",
+     lambda v: Section((PZT_PLANE,), (1e-3,), (1,), (True,), 0.01, v), LayupError,
+     "unknown wiring "),
+    ("capacitance_per_length condition", "free",
+     lambda v: capacitance_per_length(K, v), LayupError, "unknown capacitance condition "),
+    ("Beam boundary", "simply-supported", lambda v: Beam(K, 1.0, 0.1, v), BeamError,
+     "unknown boundary "),
+    ("modal_frequencies circuit", "open", lambda v: modal_frequencies(BEAM, v, 2), BeamError,
+     "unknown circuit "),
+]
+
+
+@pytest.mark.parametrize("kind", ["array", "array of one", "list", "path"])
+@pytest.mark.parametrize("case", CHOICES, ids=[c[0] for c in CHOICES])
+def test_a_choice_that_is_not_a_str_raises_the_typed_error(case, kind):
+    # `value in choices` compares an array elementwise: two entries raise numpy's bare
+    # ValueError and one is taken for the choice; str(Path("nd")) names a closure
+    _, choice, call, error, head = case
+    value = {"array": np.array([choice, choice]), "array of one": np.array([choice]),
+             "list": [choice], "path": Path(choice)}[kind]
+    with pytest.raises(error) as raised:
+        call(value)
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(head + repr(value))
+
+
+class Wiring(str, Enum):
+    INDEPENDENT = "independent"
+
+
+def test_a_str_choice_is_stored_as_a_plain_str():
+    for wiring in (np.str_("independent"), Wiring.INDEPENDENT):
+        section = Section((PZT_PLANE,) * 2, (1e-3,) * 2, (1, -1), (True, True), 0.01, wiring)
+        assert type(section.wiring) is str and section.wiring == "independent"
+        assert section.n_terminals == 2
+    beam = Beam(K, 1.0, 0.1, np.str_("simply-supported"))
+    assert type(beam.boundary) is str and beam.boundary == "simply-supported"
+    # a closure is matched without regard to case, a str only
+    assert [Closure.coerce(v) for v in ("NSR", np.str_("Ns"), Closure.ND)] == [
+        Closure.NSR, Closure.NS, Closure.ND]
+    assert capacitance_per_length(K, np.str_("free")) == capacitance_per_length(K, "free")
+    assert modal_frequencies(BEAM, np.str_("open"), 2).tobytes() == modal_frequencies(
+        BEAM, "open", 2).tobytes()

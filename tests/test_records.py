@@ -59,6 +59,18 @@ def test_every_record_rejects_assignment():
             delattr(record, record._fields[0])
 
 
+def test_no_record_gains_state_after_its_constructor():
+    # each record is built anew from its fields, so nothing read earlier is stored
+    for built in _one_of_each_record():
+        record = type(built)(*built._astuple(built))
+        before = dict(vars(record))
+        for name in dir(record):
+            if not name.startswith("_"):
+                getattr(record, name)
+        assert vars(record).keys() == before.keys(), type(record).__name__
+        assert all(vars(record)[name] is value for name, value in before.items())
+
+
 def _value_pairs():
     """(record, an equal record built apart from it, an unequal record) per class."""
     records = builtin_materials()

@@ -1,7 +1,9 @@
 """Section building, closure reduction, capacitance and stress recovery."""
 
 import functools
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
@@ -646,8 +648,14 @@ class TestSharedTable:
             reduce_section(section, closure)
         recover_stress_profile(section, "nsr", self.STATE)
         assert len(calls) == 1
-        assert not any(isinstance(value, functools.cached_property)
-                       for value in vars(Section).values())
+        # no class of any module builds state on first use
+        classes = [obj for info in pkgutil.iter_modules(pzbeam.__path__)
+                   for obj in vars(importlib.import_module(f"pzbeam.{info.name}")).values()
+                   if isinstance(obj, type) and obj.__module__.startswith("pzbeam.")]
+        assert Section in classes and pzbeam.materials.MaterialDForm in classes
+        assert not [(cls.__qualname__, name) for cls in classes
+                    for name, value in vars(cls).items()
+                    if isinstance(value, functools.cached_property)]
 
     def test_table_is_read_only(self):
         for column in build_section(MIXED_LAYUP)._table:
@@ -800,7 +808,7 @@ class TestMaterialMemo:
         assert build_section(MIXED_LAYUP).materials[0] is again["PZT-5H"].plane
         assert builds == {"_pzt_5h": 1, "_al_6061": 1}
 
-    def test_mapping_shadows_builtin(self, calls):
+    def test_mapping_shadows_builtin(self, builds, calls):
         custom = isotropic_elastic("PZT-5H", 80e9, 0.3, 7000.0)
         layup = {"width_mm": 10, "layers": [
             {"material": "PZT-5H", "thickness_mm": 0.3, "poling": "+z", "electroded": True},
@@ -811,5 +819,7 @@ class TestMaterialMemo:
         section = build_section(layup, {"PZT-5H": custom})
         assert section.materials[0] is custom.plane
         assert section.materials[2] is custom.plane
-        # Al-6061 is missing from the mapping: the built-ins are built once
-        assert calls == {"convert_d_to_e": 0, "builtin_materials": 1}
+        # Al-6061 is missing from the mapping: the built-ins are built once, and the
+        # shadowed built-in PZT-5H is converted with them, once per process
+        assert {**builds, **calls} == {"_pzt_5h": 1, "_al_6061": 1, "convert_d_to_e": 1,
+                                       "builtin_materials": 1}

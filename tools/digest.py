@@ -25,16 +25,25 @@ Categories:
   each number and the electroded flag of a layup dict, and a beam's
   constitutive law. The exception's type and message, whatever its type, or
   the result, plus every warning the call gave.
+* databases: load_material_db on a fixed list of documents derived from
+  docs/materials.json: the file as shipped; with one matrix of one record
+  scaled by 1e200, or by 1e-280 and (unless it is d or e) the record's d or
+  e by 1e40; with an extra unused PZT-LOW record (PZT-5H with epsT / 100), a
+  duplicate name and an unknown form. The sorted names, then each record's
+  plane constants as float bytes, or the exception's type and message (the
+  file's path replaced).
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import random
 import struct
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -245,15 +254,55 @@ def boundary(sha):
             sha.update(f"{name}\0{value!r}\0".encode() + outcome + b"\0")
 
 
+def _documents():
+    """The databases category's documents, each a JSON object."""
+    shipped = json.loads((ROOT / "docs" / "materials.json").read_text())
+    records = shipped["materials"]
+    yield shipped
+    for i, record in enumerate(records):
+        keys = [key for key, value in record.items() if isinstance(value, list)]
+        for key in keys:
+            for scales in ({key: 1e200}, {keys[1]: 1e40, key: 1e-280}):
+                scaled = dict(record, **{k: (np.array(record[k]) * f).tolist()
+                                         for k, f in scales.items()})
+                yield {"materials": [*records[:i], scaled, *records[i + 1:]]}
+    pzt = next(record for record in records if record["name"] == "PZT-5H")
+    low = dict(pzt, name="PZT-LOW", epsT_F_per_m=(np.array(pzt["epsT_F_per_m"]) / 100).tolist())
+    for extra in (low, records[0], dict(records[0], name="X", form="f")):
+        yield {"materials": [*records, extra]}
+
+
+def _plane_constants(record) -> np.ndarray:
+    plane = as_plane(record)
+    return np.array(plane._astuple(plane)[1:])
+
+
+def databases(sha):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "db.json"
+        for doc in _documents():
+            path.write_text(json.dumps(doc))
+            try:
+                records = load_material_db(path)
+                outcome = "\0".join(sorted(records))
+            except MaterialError as fault:
+                records, outcome = {}, f"{type(fault).__name__}: {fault}"
+            # each plane is read on its own: a record that loads but cannot be
+            # condensed shows as such
+            sha.update(outcome.replace(str(path), "DB").encode() + b"".join(
+                b"\0" + _outcome(_plane_constants, (records[name],)) for name in sorted(records))
+                + b"\0\0")
+
+
 def run() -> None:
     os.chdir(ROOT)      # the CLI arguments and their messages name paths relative to it
     total = hashlib.sha256()
-    for category in (stacks, cli, faults, boundary):
+    for category in (stacks, cli, faults, boundary, databases):
         sha = hashlib.sha256()
         category(sha)
         total.update(sha.digest())
-        print(f"{category.__name__:<9}{sha.hexdigest()}")
-    print(f"{'total':<9}{total.hexdigest()}")
+        print(f"{category.__name__:<10}{sha.hexdigest()}")
+    print(f"{'total':<10}{total.hexdigest()}")
 
 
 if __name__ == "__main__":
