@@ -328,7 +328,8 @@ def _write_stdout(text: str) -> None:
 
 def run(args: argparse.Namespace) -> int:
     with np.errstate(over="raise", invalid="raise"):    # underflow to 0 is fine
-        section = load_layup(args.layup_path, material_db=load_material_db(args.material_db_path))
+        path = args.material_db_path    # none: the layup builds only the built-ins it names
+        section = load_layup(args.layup_path, None if path is None else load_material_db(path))
         report = args.handler(section, args)
     text = _RENDERERS[args.output](args, report)
     try:    # reported here: main() takes any other OSError for an unreadable input

@@ -381,14 +381,17 @@ def _al_6061() -> Material3D:
                              provenance="generic Al-6061: E=69 GPa, nu=0.33")
 
 
-@cache
-def _builtin_records() -> dict:
-    return {"PZT-5H": _pzt_5h(), "Al-6061": _al_6061()}
+_BUILTINS = {"PZT-5H": cache(_pzt_5h), "Al-6061": cache(_al_6061)}
+
+
+def _resolve(name, records):
+    """README's rule: the record of name in records, else the built-in of that name (KeyError)."""
+    return records[name] if name in records else _BUILTINS[name]()
 
 
 def builtin_materials() -> dict:
-    """A new dict of the records that are always available, built once per process (README)."""
-    return dict(_builtin_records())
+    """A new dict of the records that are always available, each built once per process (README)."""
+    return {name: build() for name, build in _BUILTINS.items()}
 
 
 # per record form: the record type and the table of its keys, the matrices in field order
@@ -430,21 +433,15 @@ def load_material_db(path=None) -> dict:
 
     Every fault raises MaterialError.
     """
-    records = builtin_materials()
-    if path is None:
-        return records
-    text = Path(path).read_text()
-    if not text.strip():
-        return records
-    malformed = f"malformed database {path}: "
-    doc = _parse_json(text, MaterialError, malformed)
-    entries, = _read_fields(doc, {"materials": (_LIST, _REQUIRED)}, "database", MaterialError,
-                            malformed)
-    seen = set()
-    for entry in entries:
-        record = _record_from_json(entry, malformed)
-        if record.name in seen:
-            raise MaterialError(f"{malformed}duplicate material {record.name!r}")
-        seen.add(record.name)
-        records[record.name] = record
-    return records
+    records = {}
+    if path is not None and (text := Path(path).read_text()).strip():
+        malformed = f"malformed database {path}: "
+        doc = _parse_json(text, MaterialError, malformed)
+        entries, = _read_fields(doc, {"materials": (_LIST, _REQUIRED)}, "database",
+                                MaterialError, malformed)
+        for entry in entries:
+            record = _record_from_json(entry, malformed)
+            if record.name in records:
+                raise MaterialError(f"{malformed}duplicate material {record.name!r}")
+            records[record.name] = record
+    return {name: _resolve(name, records) for name in _BUILTINS} | records

@@ -46,7 +46,7 @@ import numpy as np
 
 from .materials import _BOOL, _LIST, _NUMBER, _REQUIRED, _STR, MaterialError, PlaneMaterial, \
     _as_matrix, _is_count, _is_positive_definite, _is_real, _parse_json, _read_by_column, \
-    _read_fields, _Record, as_plane, builtin_materials
+    _read_fields, _Record, _resolve, as_plane
 
 
 class LayupError(ValueError):
@@ -493,9 +493,9 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
         raise LayupError("layup has no layers")
     columns = _read_by_column(entries, _LAYER_FIELDS)
     names, thickness_mm, poling_keys, electroded = columns or ((),) * 4
-    records = {**builtin_materials(), **(materials or {})}
+    records = materials or {}
     try:
-        planes = {name: as_plane(records[name]) for name in set(names)}
+        planes = {name: as_plane(_resolve(name, records)) for name in set(names)}
         polings = tuple(map(_POLING.__getitem__, poling_keys))
     except (KeyError, MaterialError):
         columns = None
@@ -503,11 +503,13 @@ def build_section(layup: dict, materials: dict | None = None) -> Section:
         # a layer cannot be read or resolved: raise the first faulty layer's first fault
         for entry in entries:
             name, h_mm, key, flag = _read_fields(entry, _LAYER_FIELDS, "layer", LayupError)
-            if name not in records:
-                raise LayupError(f"unknown material {name!r}")
+            try:
+                record = _resolve(name, records)
+            except KeyError:
+                raise LayupError(f"unknown material {name!r}") from None
             if key not in _POLING:
                 raise LayupError(f"unknown poling {key!r} (expected +z, -z or none)")
-            _check_layer(as_plane(records[name]), h_mm * 1e-3, _POLING[key], flag)
+            _check_layer(as_plane(record), h_mm * 1e-3, _POLING[key], flag)
     return Section(tuple(map(planes.__getitem__, names)),
                    tuple(map(mul, thickness_mm, repeat(1e-3))),
                    polings, electroded, width * 1e-3, wiring)

@@ -273,6 +273,19 @@ class TestMaterialDb:
             (EPS0 * np.eye(3)).tolist()))
         assert load_material_db(path)["Al-6061"].density == 2800.0
 
+    def test_new_names_follow_the_builtins_in_file_order(self, tmp_path):
+        # the file lists New before the Al-6061 it redefines
+        al = builtin_materials()["Al-6061"]
+        entry = {"form": "e", "cE_Pa": np.array(al.cE).tolist(),
+                 "e_C_per_m2": np.zeros((3, 6)).tolist(),
+                 "epsS_F_per_m": (EPS0 * np.eye(3)).tolist(), "density_kg_m3": 2800.0}
+        path = tmp_path / "db.json"
+        path.write_text(json.dumps({"materials": [{"name": name, **entry}
+                                                  for name in ("New", "Al-6061", "Newer")]}))
+        db = load_material_db(path)
+        assert list(db) == ["PZT-5H", "Al-6061", "New", "Newer"]
+        assert db["Al-6061"].density == 2800.0
+
     def test_duplicate_names_rejected(self, tmp_path):
         al = builtin_materials()["Al-6061"]
         entry = {"name": "x", "form": "e", "cE_Pa": np.array(al.cE).tolist(),

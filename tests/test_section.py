@@ -748,27 +748,29 @@ class TestConstructor:
 class TestMaterialMemo:
     @pytest.fixture
     def builds(self, monkeypatch):
-        """Counts of the built-in record builds, under a fresh memo.
+        """Counts of the built-in record builds, under fresh per-name memos.
 
-        Earlier tests have filled the process's memo; monkeypatch puts it
+        Earlier tests have filled the process's memos; monkeypatch puts them
         back after the test.
         """
         counts = {"_pzt_5h": 0, "_al_6061": 0}
-        for name in counts:
+
+        def counted(name):
             build = getattr(pzbeam.materials, name)
 
-            def wrapper(build=build, name=name):
+            def wrapper():
                 counts[name] += 1
                 return build()
 
-            monkeypatch.setattr(pzbeam.materials, name, wrapper)
-        monkeypatch.setattr(pzbeam.materials, "_builtin_records",
-                            functools.cache(pzbeam.materials._builtin_records.__wrapped__))
+            return functools.cache(wrapper)
+
+        monkeypatch.setattr(pzbeam.materials, "_BUILTINS",
+                            {"PZT-5H": counted("_pzt_5h"), "Al-6061": counted("_al_6061")})
         return counts
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"convert_d_to_e": 0, "builtin_materials": 0}
+        counts = {"convert_d_to_e": 0, "_resolve": 0}
 
         def counted(module, name):
             fn = getattr(module, name)
@@ -780,20 +782,21 @@ class TestMaterialMemo:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(pzbeam.materials, "convert_d_to_e")
-        counted(pzbeam.section, "builtin_materials")
+        counted(pzbeam.section, "_resolve")
         return counts
 
     def test_second_build_converts_nothing(self, builds, calls):
-        # the built-in records are built, and PZT-5H converted, once per process
+        # each built-in record is built, and PZT-5H converted, once per process;
+        # a build resolves each of its two distinct material names once
         db = load_material_db()
         first = build_section(MIXED_LAYUP, db)
         assert {**builds, **calls} == {"_pzt_5h": 1, "_al_6061": 1, "convert_d_to_e": 1,
-                                       "builtin_materials": 1}
+                                       "_resolve": 2}
         mappings = (None, db, {}, builtin_materials(), load_material_db(), {"X": AL})
         later = [build_section(MIXED_LAYUP, mapping) for mapping in mappings for _ in range(3)]
         later.append(load_layup(DOCS / "sandwich.json"))
         assert {**builds, **calls} == {"_pzt_5h": 1, "_al_6061": 1, "convert_d_to_e": 1,
-                                       "builtin_materials": 20}
+                                       "_resolve": 40}
         assert all(s == first and s.materials[0] is first.materials[0] for s in later[:-1])
         assert as_plane(db["PZT-5H"]) is first.materials[0] is later[-1].materials[0]
 
@@ -819,7 +822,7 @@ class TestMaterialMemo:
         section = build_section(layup, {"PZT-5H": custom})
         assert section.materials[0] is custom.plane
         assert section.materials[2] is custom.plane
-        # Al-6061 is missing from the mapping: the built-ins are built once, and the
-        # shadowed built-in PZT-5H is converted with them, once per process
-        assert {**builds, **calls} == {"_pzt_5h": 1, "_al_6061": 1, "convert_d_to_e": 1,
-                                       "builtin_materials": 1}
+        # Al-6061 is missing from the mapping, so only it is built; the shadowed
+        # built-in PZT-5H is neither built nor converted
+        assert {**builds, **calls} == {"_pzt_5h": 0, "_al_6061": 1, "convert_d_to_e": 0,
+                                       "_resolve": 2}

@@ -108,10 +108,45 @@ def test_importing_the_modules_builds_no_material_record():
         sys.setprofile(probe)
         import pzbeam.materials, pzbeam.cli
         sys.setprofile(None)
-        print(json.dumps([sorted(called), pzbeam.materials._builtin_records.cache_info().misses]))
+        print(json.dumps([sorted(called), [build.cache_info().misses
+                                           for build in pzbeam.materials._BUILTINS.values()]]))
     """)
-    assert misses == 0
-    assert not {"_builtin_records", "_pzt_5h", "_al_6061", "__init__"} & set(called), called
+    assert misses == [0, 0]
+    assert not {"_resolve", "_pzt_5h", "_al_6061", "__init__"} & set(called), called
+
+
+def _calls_of(expression):
+    """Expression's value in a fresh interpreter, stdout set aside, and its pzbeam calls by name."""
+    return _run_code(f"""
+        import collections, contextlib, io, json, sys
+        import pzbeam.cli
+        from pzbeam.materials import load_material_db
+        called = collections.Counter()
+
+        def probe(frame, event, arg):
+            if event == "call" and "pzbeam" in frame.f_code.co_filename:
+                called[frame.f_code.co_name] += 1
+
+        sys.setprofile(probe)
+        with contextlib.redirect_stdout(io.StringIO()):
+            value = {expression}
+        sys.setprofile(None)
+        print(json.dumps([value, called]))
+    """)
+
+
+def test_a_database_that_redefines_the_builtins_builds_neither():
+    # docs/materials.json redefines PZT-5H and Al-6061: only its own PZT-5H is converted
+    names, called = _calls_of('list(load_material_db("docs/materials.json"))')
+    assert names == ["PZT-5H", "Al-6061"]
+    assert not {"_pzt_5h", "_al_6061"} & set(called) and called["convert_d_to_e"] == 1, called
+
+
+def test_a_cli_call_without_a_database_builds_only_the_builtins_its_layup_names():
+    # the bimorph is two PZT-5H layers; an empty --materials path still fails, as
+    # test_cli's test_empty_materials_path_is_input_error checks
+    code, called = _calls_of('pzbeam.cli.main(["compare", "--layup", "docs/bimorph.json"])')
+    assert code == 0 and called["_pzt_5h"] == 1 and "_al_6061" not in called, called
 
 
 def test_cli_import_loads_no_dataclasses_and_no_oracle():
